@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <thread>
 #include <string>
@@ -36,6 +37,7 @@ using graphitti::annotation::AnnotationBuilder;
 using graphitti::core::GenerateInfluenzaStudy;
 using graphitti::core::Graphitti;
 using graphitti::core::InfluenzaParams;
+using graphitti::relational::Value;
 using graphitti::util::Rng;
 
 // One shared engine for every benchmark in this binary (threads hammer the
@@ -192,5 +194,189 @@ void BM_ConcurrentQuery_WriterOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConcurrentQuery_WriterOnly)->Unit(benchmark::kMicrosecond);
+
+// Commit cost with and without a held result, per corpus size. A result
+// pins the version it was computed from, which is the documented usage
+// (page flips answer from that snapshot); the ROADMAP target is that this
+// does not change what a commit costs. In the held-pin series a reader
+// re-queries before every commit and holds the result through it, so the
+// version each commit supersedes is always pinned (as in a browsing loop
+// under write churn). Only the committing call is timed (the query and the
+// RemoveAnnotation that keeps the corpus size steady are not); p50_us is
+// the median commit.
+struct StudyCorpus {
+  std::unique_ptr<Graphitti> engine;
+  graphitti::core::InfluenzaCorpus corpus;
+};
+
+StudyCorpus& CorpusOfSize(size_t annotations) {
+  static std::map<size_t, StudyCorpus> corpora;
+  StudyCorpus& c = corpora[annotations];
+  if (c.engine == nullptr) {
+    c.engine = std::make_unique<Graphitti>();
+    InfluenzaParams params;
+    params.num_annotations = annotations;
+    params.protease_fraction = 0.15;
+    auto corpus = GenerateInfluenzaStudy(c.engine.get(), params);
+    if (!corpus.ok()) std::abort();
+    c.corpus = std::move(*corpus);
+  }
+  return c;
+}
+
+// Times `op` (which returns the id of what it committed, or an error) once
+// per iteration, with a fresh held result first when `hold_pin`; `undo`
+// runs untimed after each op.
+template <typename Op, typename Undo>
+void RunTimedCommits(benchmark::State& state, Graphitti& g, bool hold_pin, Op op, Undo undo) {
+  graphitti::util::Result<graphitti::query::QueryResult> held =
+      graphitti::util::Status::NotFound("no result held");
+  uint64_t cycle = uint64_t{1} << 40;
+  std::vector<double> lat_us;
+  size_t pinned = 0;
+  for (auto _ : state) {
+    if (hold_pin) {
+      // A cheap query, so the timed commit measures the pin, not the
+      // allocator churn of a large result freed just before it.
+      held = g.Query("FIND COUNT ?a WHERE { ?a CONTAINS \"unmatchedprobe\" }");
+      if (held.ok()) ++pinned;
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    auto id = op(cycle++);
+    double us = std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    benchmark::DoNotOptimize(id);
+    state.SetIterationTime(us / 1e6);
+    lat_us.push_back(us);
+    if (id.ok()) undo(*id);
+  }
+  std::sort(lat_us.begin(), lat_us.end());
+  state.counters["p50_us"] = lat_us.empty() ? 0.0 : lat_us[lat_us.size() / 2];
+  state.counters["held_pins"] = static_cast<double>(pinned);
+}
+
+// A probe annotation on an object-less domain: touches no hub node.
+void RunCommitBench(benchmark::State& state, bool hold_pin) {
+  Graphitti& g = *CorpusOfSize(static_cast<size_t>(state.range(0))).engine;
+  RunTimedCommits(
+      state, g, hold_pin,
+      [&](uint64_t cycle) {
+        int64_t base = static_cast<int64_t>((cycle % 100000) * 16);
+        AnnotationBuilder b;
+        b.Title("commit-bench " + std::to_string(cycle))
+            .Creator("bench-writer")
+            .Body("commit cost probe")
+            .MarkInterval("bench:commit", base, base + 5);
+        return g.Commit(b);
+      },
+      [&](uint64_t id) { (void)g.RemoveAnnotation(id); });
+}
+
+void BM_Commit_HeldPin(benchmark::State& state) { RunCommitBench(state, true); }
+void BM_Commit_Unpinned(benchmark::State& state) { RunCommitBench(state, false); }
+BENCHMARK(BM_Commit_HeldPin)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Arg(50000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Commit_Unpinned)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Arg(50000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// A probe annotation that adds edges to the corpus's busiest a-graph
+// nodes: a fresh node-set referent on the shared interaction-graph object
+// (in-degree ~0.3 x annotations) and a reference to one ontology term
+// (~0.05 x annotations). Commit cost must not grow with those degrees.
+void RunHubCommitBench(benchmark::State& state, bool hold_pin) {
+  StudyCorpus& c = CorpusOfSize(static_cast<size_t>(state.range(0)));
+  Graphitti& g = *c.engine;
+  const uint64_t hub = c.corpus.interaction_object;
+  RunTimedCommits(
+      state, g, hold_pin,
+      [&](uint64_t cycle) {
+        AnnotationBuilder b;
+        b.Title("hub-commit-bench " + std::to_string(cycle))
+            .Creator("bench-writer")
+            .Body("hub commit cost probe")
+            .MarkNodeSet("flu_interactions", {1000 + cycle % 100000}, hub)
+            .OntologyReference("flu", "FLU:1");
+        return g.Commit(b);
+      },
+      [&](uint64_t id) { (void)g.RemoveAnnotation(id); });
+}
+
+void BM_CommitToHub_HeldPin(benchmark::State& state) { RunHubCommitBench(state, true); }
+void BM_CommitToHub_Unpinned(benchmark::State& state) { RunHubCommitBench(state, false); }
+BENCHMARK(BM_CommitToHub_HeldPin)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CommitToHub_Unpinned)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// A row insert into a user table with an ordered index over a random key,
+// per table size (rows are not removed, so a run adds its iteration count
+// to the table; the iteration count is fixed to keep sizes comparable).
+Graphitti& OrderedTableOfSize(size_t rows) {
+  static std::map<size_t, std::unique_ptr<Graphitti>> engines;
+  std::unique_ptr<Graphitti>& g = engines[rows];
+  if (g == nullptr) {
+    g = std::make_unique<Graphitti>();
+    auto table = g->CreateTable(
+        "measurements", graphitti::relational::SchemaBuilder().Int("k").Str("note").Build());
+    if (!table.ok() ||
+        !(*table)->CreateIndex("k", graphitti::relational::IndexKind::kOrdered).ok()) {
+      std::abort();
+    }
+    Rng rng(77);
+    for (size_t i = 0; i < rows; ++i) {
+      graphitti::relational::Row row = {Value::Int(rng.Uniform(0, 1 << 30)),
+                                        Value::Str("seed row")};
+      if (!g->IngestRecord("measurements", std::move(row)).ok()) std::abort();
+    }
+  }
+  return *g;
+}
+
+void RunOrderedInsertBench(benchmark::State& state, bool hold_pin) {
+  Graphitti& g = OrderedTableOfSize(static_cast<size_t>(state.range(0)));
+  Rng rng(78 + static_cast<uint64_t>(hold_pin));
+  RunTimedCommits(
+      state, g, hold_pin,
+      [&](uint64_t) {
+        graphitti::relational::Row row = {Value::Int(rng.Uniform(0, 1 << 30)),
+                                          Value::Str("probe row")};
+        return g.IngestRecord("measurements", std::move(row));
+      },
+      [](uint64_t) {});
+}
+
+void BM_OrderedIndexInsert_HeldPin(benchmark::State& state) {
+  RunOrderedInsertBench(state, true);
+}
+void BM_OrderedIndexInsert_Unpinned(benchmark::State& state) {
+  RunOrderedInsertBench(state, false);
+}
+BENCHMARK(BM_OrderedIndexInsert_HeldPin)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->Iterations(3000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_OrderedIndexInsert_Unpinned)
+    ->Arg(2000)
+    ->Arg(50000)
+    ->Iterations(3000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

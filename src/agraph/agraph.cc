@@ -144,34 +144,26 @@ uint32_t AGraph::InternLabel(std::string_view label) {
 }
 
 util::Result<uint32_t> AGraph::DenseIndex(NodeRef ref) const {
-  auto it = index_.find(ref);
-  if (it == index_.end()) {
+  uint32_t slot = IndexSlot(ref);
+  if (slot == 0) {
     return util::Status::NotFound("node " + ref.ToString() + " not in a-graph");
   }
-  return it->second;
-}
-
-void AGraph::Reserve(size_t additional_nodes) {
-  size_t total = refs_.size() + additional_nodes;
-  index_.reserve(total);
-  refs_.reserve(total);
-  node_labels_.reserve(total);
-  out_.reserve(total);
-  in_.reserve(total);
+  return slot - 1;
 }
 
 uint32_t AGraph::InsertNodeUnchecked(NodeRef ref, std::string label) {
+  const util::EditToken t = owner_.Get();
   uint32_t idx = static_cast<uint32_t>(refs_.size());
-  index_.emplace(ref, idx);
-  refs_.push_back(ref);
-  node_labels_.push_back(std::move(label));
-  out_.emplace_back();
-  in_.emplace_back();
+  SetIndexSlot(ref, idx + 1, t);
+  refs_.push_back(ref, t);
+  node_labels_.push_back(std::move(label), t);
+  out_.push_back({}, t);
+  in_.push_back({}, t);
   return idx;
 }
 
 util::Status AGraph::AddNode(NodeRef ref, std::string label) {
-  if (index_.find(ref) != index_.end()) {
+  if (HasNode(ref)) {
     return util::Status::AlreadyExists("node " + ref.ToString() + " already in a-graph");
   }
   InsertNodeUnchecked(ref, std::move(label));
@@ -183,75 +175,67 @@ void AGraph::EnsureNode(NodeRef ref, std::string_view label) {
 }
 
 uint32_t AGraph::EnsureNodeIndex(NodeRef ref, std::string_view label) {
-  auto it = index_.find(ref);
-  if (it != index_.end()) {
-    if (!label.empty() && node_labels_[it->second].empty()) {
-      node_labels_[it->second] = std::string(label);
+  uint32_t slot = IndexSlot(ref);
+  if (slot != 0) {
+    if (!label.empty() && node_labels_[slot - 1].empty()) {
+      node_labels_.Set(slot - 1, std::string(label), owner_.Get());
     }
-    return it->second;
+    return slot - 1;
   }
   return InsertNodeUnchecked(ref, std::string(label));
 }
 
 void AGraph::AddEdgeIndexed(uint32_t from, uint32_t to, uint32_t label_id) {
-  out_[from].push_back({to, label_id});
-  in_[to].push_back({from, label_id});
+  const util::EditToken t = owner_.Get();
+  out_.Mutable(from, t).push_back({to, label_id}, t);
+  in_.Mutable(to, t).push_back({from, label_id}, t);
   ++num_edges_;
 }
 
 util::Status AGraph::RemoveNode(NodeRef ref) {
   GRAPHITTI_ASSIGN_OR_RETURN(uint32_t idx, DenseIndex(ref));
+  const util::EditToken t = owner_.Get();
   // Drop incident edges from neighbours' adjacency.
-  for (const Edge& e : out_[idx]) {
-    auto& vec = in_[e.other];
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [&](const Edge& x) { return x.other == idx; }),
-              vec.end());
-  }
-  for (const Edge& e : in_[idx]) {
-    auto& vec = out_[e.other];
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [&](const Edge& x) { return x.other == idx; }),
-              vec.end());
-  }
+  auto drop = [&](Adjacency* side, uint32_t other) {
+    side->Mutable(other, t).EraseIf([&](const Edge& x) { return x.other == idx; }, t);
+  };
+  for (const Edge& e : out_[idx]) drop(&in_, e.other);
+  for (const Edge& e : in_[idx]) drop(&out_, e.other);
   num_edges_ -= out_[idx].size() + in_[idx].size();
-  out_[idx].clear();
-  in_[idx].clear();
   // Swap-with-last compaction to keep dense indexes dense.
   uint32_t last = static_cast<uint32_t>(refs_.size()) - 1;
   if (idx != last) {
     // Rewire references to `last` as `idx`.
-    for (const Edge& e : out_[last]) {
-      for (Edge& x : in_[e.other]) {
-        if (x.other == last) x.other = idx;
+    auto rewire = [&](Adjacency* side, uint32_t other) {
+      EdgeList& list = side->Mutable(other, t);
+      for (size_t k = 0; k < list.size(); ++k) {
+        if (list[k].other == last) list.Mutable(k, t).other = idx;
       }
+    };
+    for (const Edge& e : out_[last]) rewire(&in_, e.other);
+    for (const Edge& e : in_[last]) rewire(&out_, e.other);
+    const NodeRef moved = refs_[last];
+    refs_.Set(idx, moved, t);
+    node_labels_.Set(idx, node_labels_[last], t);
+    // Move, not copy: a copy would share chunks still owned by `t`.
+    for (Adjacency* side : {&out_, &in_}) {
+      EdgeList edges = std::move(side->Mutable(last, t));
+      side->Set(idx, std::move(edges), t);
     }
-    for (const Edge& e : in_[last]) {
-      for (Edge& x : out_[e.other]) {
-        if (x.other == last) x.other = idx;
-      }
-    }
-    refs_[idx] = refs_[last];
-    node_labels_[idx] = std::move(node_labels_[last]);
-    out_[idx] = std::move(out_[last]);
-    in_[idx] = std::move(in_[last]);
-    index_[refs_[idx]] = idx;
+    SetIndexSlot(moved, idx + 1, t);
   }
-  refs_.pop_back();
-  node_labels_.pop_back();
-  out_.pop_back();
-  in_.pop_back();
-  index_.erase(ref);
+  refs_.pop_back(t);
+  node_labels_.pop_back(t);
+  out_.pop_back(t);
+  in_.pop_back(t);
+  SetIndexSlot(ref, 0, t);
   return util::Status::OK();
 }
 
 util::Status AGraph::AddEdge(NodeRef from, NodeRef to, std::string_view label) {
   GRAPHITTI_ASSIGN_OR_RETURN(uint32_t fi, DenseIndex(from));
   GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ti, DenseIndex(to));
-  uint32_t li = InternLabel(label);
-  out_[fi].push_back({ti, li});
-  in_[ti].push_back({fi, li});
-  ++num_edges_;
+  AddEdgeIndexed(fi, ti, InternLabel(label));
   return util::Status::OK();
 }
 
@@ -263,18 +247,24 @@ util::Status AGraph::RemoveEdge(NodeRef from, NodeRef to, std::string_view label
     return util::Status::NotFound("edge label '" + std::string(label) + "' unknown");
   }
   uint32_t li = lit->second;
-  auto& outs = out_[fi];
-  auto oit = std::find_if(outs.begin(), outs.end(),
-                          [&](const Edge& e) { return e.other == ti && e.label == li; });
-  if (oit == outs.end()) {
+  // Position of the first (other, label) edge in `list`, or list.size().
+  auto find = [li](const EdgeList& list, uint32_t other) {
+    size_t k = 0;
+    for (const Edge& e : list) {
+      if (e.other == other && e.label == li) break;
+      ++k;
+    }
+    return k;
+  };
+  const size_t out_pos = find(out_[fi], ti);
+  if (out_pos == out_[fi].size()) {
     return util::Status::NotFound("edge " + from.ToString() + " -[" + std::string(label) +
                                   "]-> " + to.ToString() + " not found");
   }
-  outs.erase(oit);
-  auto& ins = in_[ti];
-  auto iit = std::find_if(ins.begin(), ins.end(),
-                          [&](const Edge& e) { return e.other == fi && e.label == li; });
-  if (iit != ins.end()) ins.erase(iit);
+  const util::EditToken t = owner_.Get();
+  out_.Mutable(fi, t).EraseAt(out_pos, t);
+  const size_t in_pos = find(in_[ti], fi);
+  if (in_pos != in_[ti].size()) in_.Mutable(ti, t).EraseAt(in_pos, t);
   --num_edges_;
   return util::Status::OK();
 }

@@ -15,11 +15,11 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/dense_set.h"
 #include "util/governance.h"
+#include "util/persistent.h"
 #include "util/result.h"
 
 namespace graphitti {
@@ -147,19 +147,16 @@ struct ConnectOptions {
 /// Directed labeled multigraph with interned labels and per-node adjacency
 /// in both directions. Parallel edges (same endpoints, different or equal
 /// labels) are permitted, per the multigraph design.
+///
+/// A persistent value (util/persistent.h): node records and adjacency live
+/// in shared fixed-size chunks, so Clone() is O(1) and a mutation copies
+/// only the chunks it touches plus the edge lists of the nodes it rewires.
 class AGraph {
  public:
   AGraph() = default;
-  AGraph(const AGraph&) = delete;
   AGraph& operator=(const AGraph&) = delete;
   AGraph(AGraph&&) = default;
   AGraph& operator=(AGraph&&) = default;
-
-  /// Pre-sizes node storage (dense arrays + the ref index) for
-  /// `additional_nodes` more nodes, so a batched commit pays one growth
-  /// instead of repeated reallocations and hash rehashes. Edge adjacency is
-  /// per-node and grows on demand. Idempotent and never shrinks.
-  void Reserve(size_t additional_nodes);
 
   /// Adds a node with a display label; AlreadyExists when present.
   util::Status AddNode(NodeRef ref, std::string label = "");
@@ -183,7 +180,7 @@ class AGraph {
   /// Idempotent node registration (no error when present).
   void EnsureNode(NodeRef ref, std::string_view label = "");
 
-  bool HasNode(NodeRef ref) const { return index_.find(ref) != index_.end(); }
+  bool HasNode(NodeRef ref) const { return IndexSlot(ref) != 0; }
 
   /// Removes a node and all incident edges; NotFound when absent.
   util::Status RemoveNode(NodeRef ref);
@@ -230,23 +227,12 @@ class AGraph {
   /// Visits every edge.
   void ForEachEdge(const std::function<void(const EdgeRecord&)>& fn) const;
 
-  size_t num_nodes() const { return index_.size(); }
+  size_t num_nodes() const { return refs_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  /// Deep copy (every member is a value type) for copy-on-write version
-  /// publication (util/epoch.h).
-  AGraph Clone() const {
-    AGraph copy;
-    copy.index_ = index_;
-    copy.refs_ = refs_;
-    copy.node_labels_ = node_labels_;
-    copy.out_ = out_;
-    copy.in_ = in_;
-    copy.labels_ = labels_;
-    copy.label_index_ = label_index_;
-    copy.num_edges_ = num_edges_;
-    return copy;
-  }
+  /// A copy sharing every chunk with this graph (O(1) plus the tiny label
+  /// tables); either side's later mutations path-copy what they touch.
+  AGraph Clone() const { return AGraph(*this); }
 
   // --- §II primitives ---
 
@@ -314,6 +300,22 @@ class AGraph {
 
   static constexpr uint32_t kNoIndex = ~0u;
 
+  /// A node's out- or in-edges, in fixed-size chunks: a version that does
+  /// not own the list copies only the chunks an edge change touches, so an
+  /// edge added to a hub (an object or term node) costs O(log degree).
+  using EdgeList = util::ChunkedVector<Edge>;
+  using Adjacency = util::ChunkedVector<EdgeList>;  // by dense index
+
+  AGraph(const AGraph&) = default;
+
+  /// Dense index + 1 of `ref`, 0 when absent.
+  uint32_t IndexSlot(NodeRef ref) const {
+    return index_[static_cast<size_t>(ref.kind)][ref.id];
+  }
+  void SetIndexSlot(NodeRef ref, uint32_t slot, util::EditToken token) {
+    index_[static_cast<size_t>(ref.kind)].Set(ref.id, slot, token);
+  }
+
   uint32_t InternLabel(std::string_view label);
   /// Raw node insertion (no existence check); AddNode/EnsureNodeIndex's
   /// shared tail, keeping the five parallel arrays in one place.
@@ -329,8 +331,9 @@ class AGraph {
   // through a LabelBitset over interned ids. Because the scratch is
   // thread_local (as are the ConnectBatch pools below), every const
   // traversal is safe to run from many threads at once against an
-  // unchanging graph; the engine's reader-writer gate (core::Graphitti)
-  // guarantees the "unchanging" part while readers are in flight.
+  // unchanging graph; the engine's version publication (core::Graphitti)
+  // guarantees the "unchanging" part: readers traverse pinned versions,
+  // which no writer mutates.
 
   /// The calling thread's scratch (grows to the largest graph traversed).
   static util::TraversalScratch& Scratch();
@@ -353,12 +356,14 @@ class AGraph {
 
   friend class ConnectBatch;
 
-  // lint: allow-map(node handle -> dense index; O(1) lookups dominate)
-  std::unordered_map<NodeRef, uint32_t, NodeRefHash> index_;
-  std::vector<NodeRef> refs_;          // dense -> NodeRef
-  std::vector<std::string> node_labels_;
-  std::vector<std::vector<Edge>> out_;
-  std::vector<std::vector<Edge>> in_;
+  // NodeRef -> dense index + 1, one id-indexed table per node kind (every
+  // kind's ids are issued by its owning store, so the tables stay dense).
+  util::ChunkedVector<uint32_t> index_[4];
+  util::ChunkedVector<NodeRef> refs_;  // dense -> NodeRef
+  util::ChunkedVector<std::string> node_labels_;
+  Adjacency out_;
+  Adjacency in_;
+  util::EditOwner owner_;
   std::vector<std::string> labels_;    // interned edge labels
   // lint: allow-map(label set is tiny and cold; heterogeneous find)
   std::map<std::string, uint32_t, std::less<>> label_index_;

@@ -79,10 +79,10 @@ std::vector<Path> AGraph::AllPaths(NodeRef from, NodeRef to, size_t max_hops,
     size_t cursor = 0;
   };
   auto edge_at = [&](uint32_t node, size_t cursor) -> const Edge* {
-    const std::vector<Edge>& outs = out_[node];
+    const EdgeList& outs = out_[node];
     if (cursor < outs.size()) return &outs[cursor];
     size_t j = cursor - outs.size();
-    const std::vector<Edge>& ins = in_[node];
+    const EdgeList& ins = in_[node];
     return j < ins.size() ? &ins[j] : nullptr;
   };
 

@@ -5,14 +5,95 @@
 
 #include "util/dense_set.h"
 #include "util/string_util.h"
+#include "util/thread_annotations.h"
 #include "xml/xml_parser.h"
 #include "xml/xquery.h"
 
 namespace graphitti {
 namespace annotation {
 
+namespace {
+
+// Guards the one-time parse of cold snapshot content. Records are shared
+// across versions (and so across stores), so the lock cannot live in any
+// one store; it is only ever taken while some record is still cold.
+util::Mutex& HydrationMutex() {
+  static util::Mutex mu;
+  return mu;
+}
+
+// One token's ascending posting list: chunked, so a commit appending to a
+// list shared with older versions copies O(log n) chunks, not the list.
+using Posting = util::ChunkedVector<AnnotationId>;
+
+std::vector<AnnotationId> ToVector(const Posting& posting) {
+  std::vector<AnnotationId> out;
+  out.reserve(posting.size());
+  posting.ForEachRun([&](size_t, const AnnotationId* run, size_t n) {
+    out.insert(out.end(), run, run + n);
+  });
+  return out;
+}
+
+Posting FromVector(const std::vector<AnnotationId>& ids, util::EditToken token) {
+  Posting posting;
+  for (AnnotationId id : ids) posting.push_back(id, token);
+  return posting;
+}
+
+size_t LowerBound(const Posting& posting, AnnotationId id) {
+  size_t lo = 0, hi = posting.size();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (posting[mid] < id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// Keeps the ids of *acc that `posting` contains. Galloping from a monotone
+// cursor, so a rare list against a common one costs O(|acc| log |posting|).
+void IntersectWith(const Posting& posting, std::vector<AnnotationId>* acc) {
+  const size_t n = posting.size();
+  size_t lo = 0;
+  size_t kept = 0;
+  for (AnnotationId x : *acc) {
+    if (lo >= n) break;
+    if (posting[lo] < x) {
+      size_t bound = 1;
+      while (lo + bound < n && posting[lo + bound] < x) bound <<= 1;
+      size_t hi = std::min(lo + bound + 1, n);
+      while (lo < hi) {
+        size_t mid = lo + (hi - lo) / 2;
+        if (posting[mid] < x) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+    }
+    if (lo < n && posting[lo] == x) (*acc)[kept++] = x;
+  }
+  acc->resize(kept);
+}
+
+}  // namespace
+
 AnnotationStore::AnnotationStore(spatial::IndexManager* indexes, agraph::AGraph* graph)
     : indexes_(indexes), graph_(graph) {}
+
+void AnnotationStore::PutAnnotation(Annotation ann, std::string lower_text,
+                                    util::EditToken token) {
+  auto record = std::make_shared<Record>();
+  const AnnotationId id = ann.id;
+  record->ann = std::move(ann);
+  record->lower_text = std::move(lower_text);
+  annotations_.Set(id, std::move(record), token);
+  ++num_annotations_;
+}
 
 util::Result<ReferentId> AnnotationStore::InternReferent(
     const substructure::Substructure& sub, uint64_t object_id, BatchStaging* staging,
@@ -23,20 +104,21 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   // Serialized once per intern: this string is both the dedup map key and
   // the a-graph display label (ToString is hot under bulk ingest).
   std::string key = sub.ToString();
-  auto it = referent_by_key_.find(key);
-  if (it != referent_by_key_.end()) {
-    Referent& ref = referents_[it->second];
+  const util::EditToken t = owner_.Get();
+  if (const ReferentId* existing = referent_by_key_.Find(key)) {
+    const ReferentId rid = *existing;
+    Referent& ref = MutableReferent(rid, t);
     ++ref.refcount;
     if (ref.object_id == 0 && object_id != 0) {
       // Object-id adoption mutates a *shared* referent; record it so a
       // caller whose commit later fails can restore the pre-commit state.
-      if (undo != nullptr) undo->adoptions.push_back(it->second);
+      if (undo != nullptr) undo->adoptions.push_back(rid);
       ref.object_id = object_id;
     }
     if (node_index != nullptr) {
-      *node_index = graph_->EnsureNodeIndex(ReferentNode(it->second));
+      *node_index = graph_->EnsureNodeIndex(ReferentNode(rid));
     }
-    return it->second;
+    return rid;
   }
 
   ReferentId id = next_referent_id_++;
@@ -69,20 +151,22 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
       break;  // set-typed referents are stored in the referent table only
   }
 
-  Referent ref;
+  Referent& ref = MutableReferent(id, t);
   ref.id = id;
   ref.substructure = sub;
   ref.object_id = object_id;
   ref.refcount = 1;
-  // Referent ids are issued monotonically and never reused, so the new id
-  // always sorts last — the end hint makes this an O(1) append.
-  referents_.emplace_hint(referents_.end(), id, std::move(ref));
-  referents_by_domain_[sub.domain()].push_back(id);
+  ++num_referents_;
+  // Referent ids are issued monotonically and never reused, so appending
+  // keeps each domain list ascending.
+  DomainList& dom = referents_by_domain_.Mutable(sub.domain(), t);
+  dom.ids.push_back(id, t);
+  ++dom.live;
 
   agraph::NodeRef node = ReferentNode(id);
   uint32_t idx = graph_->EnsureNodeIndex(node, key);
   if (node_index != nullptr) *node_index = idx;
-  referent_by_key_.emplace(std::move(key), id);
+  referent_by_key_.Assign(key, id, t);
   if (object_id != 0) {
     agraph::NodeRef object_node = agraph::NodeRef::Object(object_id);
     if (undo != nullptr && !graph_->HasNode(object_node)) {
@@ -95,9 +179,9 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
 }
 
 void AnnotationStore::ReleaseReferent(ReferentId id) {
-  auto it = referents_.find(id);
-  if (it == referents_.end()) return;
-  Referent& ref = it->second;
+  if (referents_[id].get().id == 0) return;
+  const util::EditToken t = owner_.Get();
+  Referent& ref = MutableReferent(id, t);
   if (--ref.refcount > 0) return;
 
   switch (ref.substructure.type()) {
@@ -112,14 +196,21 @@ void AnnotationStore::ReleaseReferent(ReferentId id) {
       break;
   }
   (void)graph_->RemoveNode(ReferentNode(id));
-  auto dom = referents_by_domain_.find(ref.substructure.domain());
-  if (dom != referents_by_domain_.end()) {
-    auto pos = std::lower_bound(dom->second.begin(), dom->second.end(), id);
-    if (pos != dom->second.end() && *pos == id) dom->second.erase(pos);
-    if (dom->second.empty()) referents_by_domain_.erase(dom);
+  if (DomainList* dom = referents_by_domain_.FindMutable(ref.substructure.domain(), t)) {
+    if (--dom->live == 0) {
+      referents_by_domain_.Erase(ref.substructure.domain(), t);
+    } else if (dom->live * 2 < dom->ids.size()) {
+      // Dead ids outnumber live ones: compact (order is preserved).
+      util::ChunkedVector<ReferentId> live;
+      dom->ids.ForEach([&](size_t, ReferentId rid) {
+        if (rid != id && referents_[rid].get().id != 0) live.push_back(rid, t);
+      });
+      dom->ids = std::move(live);
+    }
   }
-  referent_by_key_.erase(ref.substructure.ToString());
-  referents_.erase(it);
+  referent_by_key_.Erase(ref.substructure.ToString(), t);
+  referents_.Set(id, util::CowBox<Referent>(), t);
+  --num_referents_;
 }
 
 util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& builder,
@@ -128,7 +219,7 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
     return util::Status::InvalidArgument(
         "an annotation must mark at least one referent (it is a linker object)");
   }
-  if (forced_id != 0 && annotations_.count(forced_id) > 0) {
+  if (forced_id != 0 && RecordOf(forced_id) != nullptr) {
     return util::Status::AlreadyExists("annotation id " + std::to_string(forced_id) +
                                        " already in use");
   }
@@ -181,8 +272,7 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
       // none) go back to unowned; referents released to zero above are
       // simply gone from the map.
       for (ReferentId rid : undo.adoptions) {
-        auto ar = referents_.find(rid);
-        if (ar != referents_.end()) ar->second.object_id = 0;
+        if (referents_[rid].get().id != 0) MutableReferent(rid, owner_.Get()).object_id = 0;
       }
       // Object nodes this commit created are isolated by now (their only
       // edges came from referents released above) — remove them too.
@@ -196,8 +286,7 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
     // Skip duplicate referent links within one annotation.
     if (std::find(ann.referents.begin(), ann.referents.end(), rid) != ann.referents.end()) {
       // InternReferent already bumped the refcount; undo the extra count.
-      auto it = referents_.find(rid);
-      if (it != referents_.end() && it->second.refcount > 1) --it->second.refcount;
+      if (referents_[rid].get().refcount > 1) --MutableReferent(rid, owner_.Get()).refcount;
       continue;
     }
     ann.referents.push_back(rid);
@@ -209,8 +298,8 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
     (void)graph_->AddEdge(content_node, term_node, kEdgeRefersTo);
   }
 
-  IndexContentText(id, ann);
-  annotations_.emplace(id, std::move(ann));
+  std::string lower_text = IndexContentText(id, ann);
+  PutAnnotation(std::move(ann), std::move(lower_text), owner_.Get());
   next_annotation_id_ = std::max(next_annotation_id_, id + 1);
   return id;
 }
@@ -254,8 +343,6 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   std::unordered_set<AnnotationId> assigned;
   assigned.reserve(builders.size());
   uint64_t next_id = next_annotation_id_;
-  size_t node_estimate = 0;
-  size_t total_marks = 0;
   for (size_t i = 0; i < builders.size(); ++i) {
     const AnnotationBuilder& b = builders[i];
     if (b.marks().empty()) {
@@ -263,9 +350,8 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
           "builder " + std::to_string(i) +
           ": an annotation must mark at least one referent (it is a linker object)");
     }
-    total_marks += b.marks().size();
     AnnotationId forced = forced_ids.empty() ? 0 : forced_ids[i];
-    if (forced != 0 && (annotations_.count(forced) > 0 || assigned.count(forced) > 0)) {
+    if (forced != 0 && (RecordOf(forced) != nullptr || assigned.count(forced) > 0)) {
       return util::Status::AlreadyExists("annotation id " + std::to_string(forced) +
                                          " already in use");
     }
@@ -291,7 +377,6 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
       contents.push_back(std::move(content));
     }
     ids.push_back(id);
-    node_estimate += 1 + b.marks().size() + b.ontology_refs().size();
     for (const auto& [sub, object_id] : b.marks()) {
       (void)object_id;
       if (!sub.valid()) {
@@ -316,11 +401,10 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   }
 
   // --- Stage: annotation records, referent interning with spatial
-  // insertion deferred into per-domain accumulators, a-graph nodes/edges
-  // (with capacity reserved from batch totals), and keyword tokens.
-  graph_->Reserve(node_estimate);
-  referent_by_key_.reserve(referent_by_key_.size() + total_marks);
-  lower_text_.reserve(lower_text_.size() + builders.size());
+  // insertion deferred into per-domain accumulators, a-graph nodes/edges,
+  // and keyword tokens. Every chunk this batch creates or copies is owned
+  // by the store's token, so the rest of the batch edits it in place.
+  const util::EditToken t = owner_.Get();
   BatchStaging staging;
   // Token posting appends go straight onto the shared lists; first_size
   // records each touched list's pre-batch length (SIZE_MAX = untouched) so
@@ -370,8 +454,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
       // Skip duplicate referent links within one annotation.
       if (std::find(ann.referents.begin(), ann.referents.end(), rid) !=
           ann.referents.end()) {
-        auto it = referents_.find(rid);
-        if (it != referents_.end() && it->second.refcount > 1) --it->second.refcount;
+        if (referents_[rid].get().refcount > 1) --MutableReferent(rid, t).refcount;
         continue;
       }
       ann.referents.push_back(rid);
@@ -387,23 +470,17 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     // One-pass keyword accumulation: tokens are interned now but postings
     // are merged once at flush instead of appended per commit.
     size_t content_len = TokenizeForIndex(ann, &text_buf, &words);
-    lower_text_.emplace(id, std::string(text_buf.data(), content_len));
     for (std::string_view w : words) {
-      uint32_t tid = InternToken(w);
+      uint32_t tid = InternToken(w, t);
       if (tid >= first_size.size()) first_size.resize(postings_.size(), SIZE_MAX);
-      std::vector<AnnotationId>& posting = postings_[tid];
+      Posting& posting = postings_.Mutable(tid, t);
       if (first_size[tid] == SIZE_MAX) {
         first_size[tid] = posting.size();
         touched.push_back(tid);
       }
-      posting.push_back(id);
+      posting.push_back(id, t);
     }
-
-    if (annotations_.empty() || annotations_.rbegin()->first < id) {
-      annotations_.emplace_hint(annotations_.end(), id, std::move(ann));
-    } else {
-      annotations_.emplace(id, std::move(ann));
-    }
+    PutAnnotation(std::move(ann), std::string(text_buf.data(), content_len), t);
   }
   next_annotation_id_ = std::max(next_annotation_id_, next_id);
 
@@ -416,82 +493,92 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadRegions(system, std::move(entries)));
   }
   for (uint32_t tid : touched) {
-    std::vector<AnnotationId>& posting = postings_[tid];
-    const size_t old_size = first_size[tid];
-    auto appended = posting.begin() + static_cast<std::ptrdiff_t>(old_size);
     // Batch ids ascend except when forced ids interleave, so the appended
-    // run is almost always already sorted and the merge below the
-    // pre-batch prefix almost always skips.
-    if (!std::is_sorted(appended, posting.end())) std::sort(appended, posting.end());
-    if (old_size > 0 && posting[old_size] < posting[old_size - 1]) {
-      std::inplace_merge(posting.begin(), appended, posting.end());
+    // run almost always extends the list in order and nothing is repaired.
+    Posting& posting = postings_.Mutable(tid, t);
+    bool sorted = true;
+    for (size_t k = std::max<size_t>(first_size[tid], 1); k < posting.size() && sorted; ++k) {
+      sorted = posting[k - 1] < posting[k];
+    }
+    if (!sorted) {
+      std::vector<AnnotationId> repaired = ToVector(posting);
+      std::sort(repaired.begin(), repaired.end());
+      posting = FromVector(repaired, t);
     }
   }
   return ids;
 }
 
 util::Status AnnotationStore::Remove(AnnotationId id) {
-  auto it = annotations_.find(id);
-  if (it == annotations_.end()) {
+  // Hold the record: the slot is cleared below while its fields are read.
+  RecordPtr record = annotations_[id];
+  if (record == nullptr) {
     return util::Status::NotFound("annotation " + std::to_string(id) + " not found");
   }
-  UnindexContentText(id, it->second);
+  const Annotation& ann = record->ann;
+  UnindexContentText(id, ann);
   (void)graph_->RemoveNode(ContentNode(id));
   // Release referents after the content node is gone so AnnotationsOfReferent
   // stays consistent.
-  for (ReferentId rid : it->second.referents) ReleaseReferent(rid);
-  annotations_.erase(it);
-  if (has_cold_.load(std::memory_order_acquire)) {
-    util::MutexLock lock(hydrate_mu_);
-    cold_content_.erase(id);
-    if (cold_content_.empty()) has_cold_.store(false, std::memory_order_release);
-  }
+  for (ReferentId rid : ann.referents) ReleaseReferent(rid);
+  annotations_.Set(id, nullptr, owner_.Get());
+  --num_annotations_;
   return util::Status::OK();
 }
 
 const Annotation* AnnotationStore::Get(AnnotationId id) const {
-  auto it = annotations_.find(id);
-  return it == annotations_.end() ? nullptr : &it->second;
+  const Record* record = RecordOf(id);
+  return record == nullptr ? nullptr : &record->ann;
 }
 
 const Referent* AnnotationStore::GetReferent(ReferentId id) const {
-  auto it = referents_.find(id);
-  return it == referents_.end() ? nullptr : &it->second;
+  const Referent& ref = referents_[id].get();
+  return ref.id == 0 ? nullptr : &ref;
 }
 
 std::vector<AnnotationId> AnnotationStore::Ids() const {
   std::vector<AnnotationId> out;
-  out.reserve(annotations_.size());
-  for (const auto& [id, _] : annotations_) out.push_back(id);
+  out.reserve(num_annotations_);
+  ForEachAnnotation([&](AnnotationId id, const Annotation&) { out.push_back(id); });
   return out;
 }
 
 std::vector<ReferentId> AnnotationStore::ReferentIds() const {
   std::vector<ReferentId> out;
-  out.reserve(referents_.size());
-  for (const auto& [id, _] : referents_) out.push_back(id);
+  out.reserve(num_referents_);
+  ForEachReferent([&](ReferentId id, const Referent&) { out.push_back(id); });
   return out;
 }
 
 void AnnotationStore::ForEachAnnotation(
     const std::function<void(AnnotationId, const Annotation&)>& fn) const {
-  for (const auto& [id, ann] : annotations_) fn(id, ann);
+  annotations_.ForEachRun([&](size_t first, const RecordPtr* run, size_t n) {
+    for (size_t k = 0; k < n; ++k) {
+      if (run[k] != nullptr) fn(first + k, run[k]->ann);
+    }
+  });
 }
 
 void AnnotationStore::ForEachReferent(
     const std::function<void(ReferentId, const Referent&)>& fn) const {
-  for (const auto& [id, ref] : referents_) fn(id, ref);
+  referents_.ForEachRun([&](size_t first, const util::CowBox<Referent>* run, size_t n) {
+    for (size_t k = 0; k < n; ++k) {
+      if (run[k].get().id != 0) fn(first + k, run[k].get());
+    }
+  });
 }
 
 void AnnotationStore::ForEachReferentInDomain(
     std::string_view domain,
     const std::function<void(ReferentId, const Referent&)>& fn) const {
-  auto it = referents_by_domain_.find(std::string(domain));
-  if (it == referents_by_domain_.end()) return;
-  for (ReferentId id : it->second) {
-    auto ref = referents_.find(id);
-    if (ref != referents_.end()) fn(id, ref->second);
-  }
+  const DomainList* dom = referents_by_domain_.Find(domain);
+  if (dom == nullptr) return;
+  dom->ids.ForEachRun([&](size_t, const ReferentId* run, size_t n) {
+    for (size_t k = 0; k < n; ++k) {
+      const Referent& ref = referents_[run[k]].get();
+      if (ref.id != 0) fn(run[k], ref);
+    }
+  });
 }
 
 std::vector<AnnotationId> AnnotationStore::AnnotationsOfReferent(ReferentId id) const {
@@ -505,11 +592,12 @@ std::vector<AnnotationId> AnnotationStore::AnnotationsOfReferent(ReferentId id) 
 
 util::Result<ReferentId> AnnotationStore::FindReferent(
     const substructure::Substructure& sub) const {
-  auto it = referent_by_key_.find(sub.ToString());
-  if (it == referent_by_key_.end()) {
-    return util::Status::NotFound("no referent for " + sub.ToString());
+  std::string key = sub.ToString();
+  const ReferentId* rid = referent_by_key_.Find(key);
+  if (rid == nullptr) {
+    return util::Status::NotFound("no referent for " + key);
   }
-  return it->second;
+  return *rid;
 }
 
 size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* text_buf,
@@ -535,7 +623,7 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
   }
   // One lower-casing pass over the content, in place; the buffer then
   // serves both the phrase cache (the commit paths copy the content
-  // prefix into lower_text_) and tokenization (TokenizeWordViews does no
+  // prefix into the record) and tokenization (TokenizeWordViews does no
   // case folding of its own).
   for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   const size_t content_len = text.size();
@@ -559,30 +647,36 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
   return content_len;
 }
 
-uint32_t AnnotationStore::InternToken(std::string_view w) {
-  uint32_t tid = token_ids_.Intern(w);
-  if (tid == postings_.size()) postings_.emplace_back();
+uint32_t AnnotationStore::InternToken(std::string_view w, util::EditToken token) {
+  if (const uint32_t* tid = token_ids_.Find(w)) return *tid;
+  const uint32_t tid = static_cast<uint32_t>(token_strings_.size());
+  token_ids_.Assign(w, tid, token);
+  token_strings_.push_back(std::string(w), token);
+  postings_.push_back({}, token);
   return tid;
 }
 
-void AnnotationStore::IndexContentText(AnnotationId id, const Annotation& ann) {
+std::string AnnotationStore::IndexContentText(AnnotationId id, const Annotation& ann) {
+  const util::EditToken t = owner_.Get();
   std::string text_buf;
   std::vector<std::string_view> words;
   size_t content_len = TokenizeForIndex(ann, &text_buf, &words);
-  // Phrase search matches the serialized content only (not tags/terms),
-  // case-insensitively; cache the lower-cased form once at commit.
-  lower_text_.emplace(id, std::string(text_buf.data(), content_len));
   for (std::string_view w : words) {
-    uint32_t tid = InternToken(w);
-    std::vector<AnnotationId>& posting = postings_[tid];
+    Posting& posting = postings_.Mutable(InternToken(w, t), t);
     // Ids normally arrive ascending; forced ids (persistence replay) may
     // not, so keep the posting sorted either way.
-    if (posting.empty() || posting.back() < id) {
-      posting.push_back(id);
+    if (posting.empty() || posting[posting.size() - 1] < id) {
+      posting.push_back(id, t);
     } else {
-      posting.insert(std::upper_bound(posting.begin(), posting.end(), id), id);
+      std::vector<AnnotationId> ids = ToVector(posting);
+      ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+      posting = FromVector(ids, t);
     }
   }
+  // Phrase search matches the serialized content only (not tags/terms),
+  // case-insensitively; the record caches the lower-cased form.
+  text_buf.resize(content_len);
+  return text_buf;
 }
 
 void AnnotationStore::UnindexContentText(AnnotationId id, const Annotation& ann) {
@@ -590,24 +684,24 @@ void AnnotationStore::UnindexContentText(AnnotationId id, const Annotation& ann)
   // deterministic derivation commit used — instead of being materialized
   // per annotation at ingest: removal is rare, ingest is hot, and the
   // per-annotation token vectors were pure ingest overhead.
+  const util::EditToken t = owner_.Get();
   std::string text_buf;
   std::vector<std::string_view> words;
   TokenizeForIndex(ann, &text_buf, &words);
   for (std::string_view w : words) {
-    uint32_t tid = token_ids_.Find(w);
-    if (tid == util::StringInterner::kNone) continue;
-    std::vector<AnnotationId>& posting = postings_[tid];
-    auto pos = std::lower_bound(posting.begin(), posting.end(), id);
-    if (pos != posting.end() && *pos == id) posting.erase(pos);
+    const uint32_t* tid = token_ids_.Find(w);
+    if (tid == nullptr) continue;
+    const size_t pos = LowerBound(postings_[*tid], id);
+    if (pos == postings_[*tid].size() || postings_[*tid][pos] != id) continue;
+    postings_.Mutable(*tid, t).EraseAt(pos, t);
   }
-  lower_text_.erase(id);
 }
 
 std::vector<AnnotationId> AnnotationStore::SearchKeyword(std::string_view word) const {
   std::vector<std::string> tokens = util::TokenizeWords(word);
   if (tokens.size() != 1) return SearchAllKeywords(tokens);
-  uint32_t tid = token_ids_.Find(tokens[0]);
-  return tid == util::StringInterner::kNone ? std::vector<AnnotationId>{} : postings_[tid];
+  const uint32_t* tid = token_ids_.Find(tokens[0]);
+  return tid == nullptr ? std::vector<AnnotationId>{} : ToVector(postings_[*tid]);
 }
 
 std::vector<AnnotationId> AnnotationStore::SearchAllKeywords(
@@ -615,15 +709,15 @@ std::vector<AnnotationId> AnnotationStore::SearchAllKeywords(
   // Resolve every word to its posting list up front. A word tokenizing to
   // several tokens requires all of them (phrase-less AND semantics, as
   // before); a word with no tokens or an unindexed token matches nothing.
-  std::vector<const std::vector<AnnotationId>*> lists;
+  std::vector<const Posting*> lists;
   if (words.empty()) return {};
   for (const std::string& w : words) {
     std::vector<std::string> tokens = util::TokenizeWords(w);
     if (tokens.empty()) return {};
     for (const std::string& t : tokens) {
-      uint32_t tid = token_ids_.Find(t);
-      if (tid == util::StringInterner::kNone) return {};
-      lists.push_back(&postings_[tid]);
+      const uint32_t* tid = token_ids_.Find(t);
+      if (tid == nullptr) return {};
+      lists.push_back(&postings_[*tid]);
     }
   }
   std::sort(lists.begin(), lists.end());
@@ -632,15 +726,9 @@ std::vector<AnnotationId> AnnotationStore::SearchAllKeywords(
   // against a result no larger than the rarest list, and galloping makes
   // rare-against-common cost logarithmic in the common list's size.
   std::sort(lists.begin(), lists.end(),
-            [](const std::vector<AnnotationId>* a, const std::vector<AnnotationId>* b) {
-              return a->size() < b->size();
-            });
-  std::vector<AnnotationId> acc = *lists.front();
-  std::vector<AnnotationId> merged;
-  for (size_t i = 1; i < lists.size() && !acc.empty(); ++i) {
-    util::IntersectSorted(acc, *lists[i], &merged);
-    std::swap(acc, merged);
-  }
+            [](const Posting* a, const Posting* b) { return a->size() < b->size(); });
+  std::vector<AnnotationId> acc = ToVector(*lists.front());
+  for (size_t i = 1; i < lists.size() && !acc.empty(); ++i) IntersectWith(*lists[i], &acc);
   return acc;
 }
 
@@ -658,8 +746,8 @@ std::vector<AnnotationId> AnnotationStore::SearchPhrase(std::string_view phrase)
   // which are not part of the serialized content this search matches.
   std::vector<AnnotationId> out;
   for (AnnotationId id : candidates) {
-    auto it = lower_text_.find(id);
-    if (it != lower_text_.end() && it->second.find(lower_phrase) != std::string::npos) {
+    const Record* record = RecordOf(id);
+    if (record != nullptr && record->lower_text.find(lower_phrase) != std::string::npos) {
       out.push_back(id);
     }
   }
@@ -668,40 +756,37 @@ std::vector<AnnotationId> AnnotationStore::SearchPhrase(std::string_view phrase)
 
 std::vector<const xml::XmlDocument*> AnnotationStore::Collection() const {
   std::vector<const xml::XmlDocument*> out;
-  out.reserve(annotations_.size());
-  for (const auto& [_, ann] : annotations_) out.push_back(&ContentOf(ann));
+  out.reserve(num_annotations_);
+  ForEachAnnotation([&](AnnotationId, const Annotation& ann) { out.push_back(&ContentOf(ann)); });
   return out;
 }
 
 const xml::XmlDocument& AnnotationStore::ContentOf(const Annotation& ann) const {
-  // Fast path: no cold entries anywhere, so every DOM is hot and immutable
-  // — safe to read without the lock. While has_cold_ is set, ann.content
-  // may be written by a concurrent hydration, so ALL access goes through
-  // the mutex (even for annotations that were never cold: the flag is
-  // store-wide, and distinguishing per-annotation would need the map
-  // lookup the lock protects anyway).
-  if (!has_cold_.load(std::memory_order_acquire)) return ann.content;
-  util::MutexLock lock(hydrate_mu_);
-  auto it = cold_content_.find(ann.id);
-  if (it == cold_content_.end()) return ann.content;  // hydrated by a racer
-  util::Result<xml::XmlDocument> doc = xml::ParseXml(it->second);
+  const Record* record = RecordOf(ann.id);
+  // Fast path: a record that is not cold has an immutable hot DOM. While
+  // `cold` is set, ann.content may be written by a concurrent hydration,
+  // so access goes through the hydration mutex.
+  if (record == nullptr || !record->cold.load(std::memory_order_acquire)) return ann.content;
+  util::MutexLock lock(HydrationMutex());
+  if (!record->cold.load(std::memory_order_relaxed)) return ann.content;  // a racer won
+  util::Result<xml::XmlDocument> doc = xml::ParseXml(record->cold_xml);
   // The bytes were serialized by our own snapshot writer and CRC-verified;
   // a parse failure is unreachable short of a logic bug, in which case the
   // annotation degrades to content-less rather than crashing a recovery.
-  if (doc.ok()) ann.content = std::move(*doc);
-  cold_content_.erase(it);
-  if (cold_content_.empty()) has_cold_.store(false, std::memory_order_release);
+  if (doc.ok()) record->ann.content = std::move(*doc);
+  std::string().swap(record->cold_xml);
+  record->cold.store(false, std::memory_order_release);
   return ann.content;
 }
 
 std::string AnnotationStore::ContentXml(const Annotation& ann) const {
-  if (has_cold_.load(std::memory_order_acquire)) {
-    util::MutexLock lock(hydrate_mu_);
-    auto it = cold_content_.find(ann.id);
+  const Record* record = RecordOf(ann.id);
+  if (record != nullptr && record->cold.load(std::memory_order_acquire)) {
+    util::MutexLock lock(HydrationMutex());
     // Still cold: the stored bytes verbatim, no parse + re-serialize
     // round-trip (this is what makes snapshot-of-a-restored-engine
     // byte-stable).
-    if (it != cold_content_.end()) return it->second;
+    if (record->cold.load(std::memory_order_relaxed)) return record->cold_xml;
     // Hydrated under this mutex by some earlier holder; the DOM is
     // immutable from then on, so serializing after unlock is safe.
   }
@@ -709,23 +794,23 @@ std::string AnnotationStore::ContentXml(const Annotation& ann) const {
 }
 
 bool AnnotationStore::HasContent(const Annotation& ann) const {
-  if (!has_cold_.load(std::memory_order_acquire)) return !ann.content.empty();
-  util::MutexLock lock(hydrate_mu_);
-  return !ann.content.empty() || cold_content_.count(ann.id) > 0;
+  const Record* record = RecordOf(ann.id);
+  if (record == nullptr || !record->cold.load(std::memory_order_acquire)) {
+    return !ann.content.empty();
+  }
+  return true;  // cold bytes are present until hydration swaps them in
 }
 
 std::string_view AnnotationStore::LowerTextOf(AnnotationId id) const {
-  auto it = lower_text_.find(id);
-  return it == lower_text_.end() ? std::string_view() : std::string_view(it->second);
+  const Record* record = RecordOf(id);
+  return record == nullptr ? std::string_view() : std::string_view(record->lower_text);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::XQuerySearch(
     std::string_view flwor) const {
   GRAPHITTI_ASSIGN_OR_RETURN(xml::XQuery query, xml::XQuery::Compile(flwor));
   std::vector<const xml::XmlDocument*> docs = Collection();
-  std::vector<AnnotationId> doc_ids;
-  doc_ids.reserve(annotations_.size());
-  for (const auto& [id, _] : annotations_) doc_ids.push_back(id);
+  std::vector<AnnotationId> doc_ids = Ids();
 
   std::vector<AnnotationId> out;
   for (const xml::XQueryRow& row : query.Execute(docs)) {
@@ -740,7 +825,7 @@ util::Status AnnotationStore::RestoreSnapshotState(
     std::vector<RestoredReferent> referents, std::vector<RestoredAnnotation> annotations,
     RestoredKeywordIndex keyword_index, std::vector<std::string> term_names,
     uint64_t next_annotation_id, uint64_t next_referent_id) {
-  if (!annotations_.empty() || !referents_.empty() || !postings_.empty() ||
+  if (num_annotations_ != 0 || num_referents_ != 0 || !postings_.empty() ||
       !term_names_.empty()) {
     return util::Status::Internal("RestoreSnapshotState requires an empty store");
   }
@@ -752,9 +837,10 @@ util::Status AnnotationStore::RestoreSnapshotState(
   // term's a-graph NODE is created lazily at its first referencing edge
   // below — the same order the original commits produced, so the graph
   // round-trips node for node.
-  term_names_ = std::move(term_names);
-  for (size_t i = 0; i < term_names_.size(); ++i) {
-    term_node_ids_.emplace(term_names_[i], i + 1);
+  const util::EditToken t = owner_.Get();
+  for (size_t i = 0; i < term_names.size(); ++i) {
+    term_node_ids_.Assign(term_names[i], i + 1, t);
+    term_names_.push_back(std::move(term_names[i]), t);
   }
 
   // Referents: table + dedup key + domain index now, spatial entries
@@ -767,25 +853,22 @@ util::Status AnnotationStore::RestoreSnapshotState(
   // of-object edge flag — collected in one hash map so that loop does one
   // lookup per reference instead of an rb-tree find plus a re-serialize.
   struct RefAux {
-    const Referent* ref;
-    std::string_view key;  // into referent_by_key_ (node-stable keys)
+    uint64_t object_id;
+    std::string key;
     bool object_edge;
   };
   std::unordered_map<ReferentId, RefAux> ref_aux;
   ref_aux.reserve(referents.size());
-  referent_by_key_.reserve(referents.size());
-  // Snapshot referents cluster by domain (commit order), so remember the
-  // last domain bucket instead of re-hashing the domain string every row.
-  std::string_view last_domain;
-  std::vector<ReferentId>* last_domain_vec = nullptr;
   uint64_t prev_rid = 0;
   for (RestoredReferent& rr : referents) {
     if (rr.ref.id <= prev_rid) {
       return util::Status::Internal("snapshot referents not ascending by id");
     }
     prev_rid = rr.ref.id;
-    auto ref_it = referents_.emplace_hint(referents_.end(), rr.ref.id, std::move(rr.ref));
-    const Referent& ref = ref_it->second;
+    const ReferentId rid = rr.ref.id;
+    Referent& ref = MutableReferent(rid, t);
+    ref = std::move(rr.ref);
+    ++num_referents_;
     const substructure::Substructure& sub = ref.substructure;
     switch (sub.type()) {
       case substructure::SubType::kInterval:
@@ -801,13 +884,12 @@ util::Status AnnotationStore::RestoreSnapshotState(
       default:
         break;
     }
-    if (last_domain_vec == nullptr || last_domain != sub.domain()) {
-      last_domain_vec = &referents_by_domain_[sub.domain()];
-      last_domain = sub.domain();
-    }
-    last_domain_vec->push_back(ref.id);
-    auto key_it = referent_by_key_.emplace(sub.ToString(), ref.id).first;
-    ref_aux.emplace(ref.id, RefAux{&ref, key_it->first, rr.object_edge});
+    DomainList& dom = referents_by_domain_.Mutable(sub.domain(), t);
+    dom.ids.push_back(rid, t);
+    ++dom.live;
+    std::string key = sub.ToString();
+    referent_by_key_.Assign(key, rid, t);
+    ref_aux.emplace(rid, RefAux{ref.object_id, std::move(key), rr.object_edge});
   }
   for (auto& [domain, entries] : staging.intervals) {
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadIntervals(domain, std::move(entries)));
@@ -818,13 +900,12 @@ util::Status AnnotationStore::RestoreSnapshotState(
 
   // Keyword index: token strings intern in dense-id order and posting
   // lists adopt verbatim — no document is tokenized at restore time.
-  postings_.reserve(keyword_index.tokens.size());
   for (size_t i = 0; i < keyword_index.tokens.size(); ++i) {
-    uint32_t tid = InternToken(keyword_index.tokens[i]);
+    uint32_t tid = InternToken(keyword_index.tokens[i], t);
     if (tid != i) {
       return util::Status::Internal("snapshot keyword index has a duplicate token");
     }
-    postings_[tid] = std::move(keyword_index.postings[i]);
+    postings_.Set(tid, FromVector(keyword_index.postings[i], t), t);
   }
 
   // Annotations: metadata hot, content cold, a-graph wired in commit
@@ -832,9 +913,6 @@ util::Status AnnotationStore::RestoreSnapshotState(
   // of-object edge, then the annotates edge; then term edges).
   const uint32_t annotates_label = graph_->InternEdgeLabel(kEdgeAnnotates);
   const uint32_t refers_to_label = graph_->InternEdgeLabel(kEdgeRefersTo);
-  graph_->Reserve(annotations.size() + referents_.size() + term_names_.size());
-  lower_text_.reserve(annotations.size());
-  cold_content_.reserve(annotations.size());
   uint64_t prev_aid = 0;
   for (RestoredAnnotation& ra : annotations) {
     Annotation& ann = ra.ann;
@@ -857,8 +935,8 @@ util::Status AnnotationStore::RestoreSnapshotState(
       uint32_t ref_idx;
       if (!graph_->HasNode(rnode)) {
         ref_idx = graph_->EnsureNodeIndex(rnode, aux.key);
-        if (aux.ref->object_id != 0 && aux.object_edge) {
-          agraph::NodeRef object_node = agraph::NodeRef::Object(aux.ref->object_id);
+        if (aux.object_id != 0 && aux.object_edge) {
+          agraph::NodeRef object_node = agraph::NodeRef::Object(aux.object_id);
           graph_->EnsureNode(object_node);
           (void)graph_->AddEdge(rnode, object_node, kEdgeOfObject);
         }
@@ -869,18 +947,22 @@ util::Status AnnotationStore::RestoreSnapshotState(
     }
     for (const OntologyRef& oref : ann.ontology_refs) {
       std::string qualified = oref.Qualified();
-      auto tit = term_node_ids_.find(qualified);
-      if (tit == term_node_ids_.end()) {
+      const uint64_t* term_id = term_node_ids_.Find(qualified);
+      if (term_id == nullptr) {
         return util::Status::Internal("snapshot annotation " + std::to_string(id) +
                                       " references unknown term '" + qualified + "'");
       }
-      agraph::NodeRef tnode = agraph::NodeRef::Term(tit->second);
+      agraph::NodeRef tnode = agraph::NodeRef::Term(*term_id);
       if (!graph_->HasNode(tnode)) graph_->EnsureNode(tnode, qualified);
       graph_->AddEdgeIndexed(content_idx, graph_->EnsureNodeIndex(tnode), refers_to_label);
     }
-    lower_text_.emplace(id, std::move(ra.lower_text));
-    cold_content_.emplace(id, std::move(ra.content_xml));
-    annotations_.emplace_hint(annotations_.end(), id, std::move(ann));
+    auto record = std::make_shared<Record>();
+    record->ann = std::move(ann);
+    record->lower_text = std::move(ra.lower_text);
+    record->cold_xml = std::move(ra.content_xml);
+    record->cold.store(true, std::memory_order_relaxed);
+    annotations_.Set(id, std::move(record), t);
+    ++num_annotations_;
   }
 
   // Terms whose every referencing annotation was later removed keep their
@@ -893,18 +975,17 @@ util::Status AnnotationStore::RestoreSnapshotState(
 
   next_annotation_id_ = next_annotation_id;
   next_referent_id_ = next_referent_id;
-  has_cold_.store(!cold_content_.empty(), std::memory_order_release);
   return util::Status::OK();
 }
 
 agraph::NodeRef AnnotationStore::TermNode(const std::string& qualified) {
-  auto it = term_node_ids_.find(qualified);
-  if (it != term_node_ids_.end()) {
-    return agraph::NodeRef::Term(it->second);
+  if (const uint64_t* id = term_node_ids_.Find(qualified)) {
+    return agraph::NodeRef::Term(*id);
   }
+  const util::EditToken t = owner_.Get();
   uint64_t id = term_names_.size() + 1;  // ids are 1-based
-  term_names_.push_back(qualified);
-  term_node_ids_.emplace(qualified, id);
+  term_names_.push_back(qualified, t);
+  term_node_ids_.Assign(qualified, id, t);
   agraph::NodeRef node = agraph::NodeRef::Term(id);
   graph_->EnsureNode(node, qualified);
   return node;
@@ -912,11 +993,11 @@ agraph::NodeRef AnnotationStore::TermNode(const std::string& qualified) {
 
 util::Result<agraph::NodeRef> AnnotationStore::FindTermNode(
     const std::string& qualified) const {
-  auto it = term_node_ids_.find(qualified);
-  if (it == term_node_ids_.end()) {
+  const uint64_t* id = term_node_ids_.Find(qualified);
+  if (id == nullptr) {
     return util::Status::NotFound("term '" + qualified + "' was never referenced");
   }
-  return agraph::NodeRef::Term(it->second);
+  return agraph::NodeRef::Term(*id);
 }
 
 std::string AnnotationStore::TermName(agraph::NodeRef ref) const {
@@ -929,36 +1010,11 @@ std::string AnnotationStore::TermName(agraph::NodeRef ref) const {
 
 std::unique_ptr<AnnotationStore> AnnotationStore::Clone(
     spatial::IndexManager* indexes, agraph::AGraph* graph) const {
-  auto copy = std::make_unique<AnnotationStore>(indexes, graph);
-  // Serialize against concurrent reader-side cold-content hydration (the
-  // only mutation a published store can see: ContentOf moving an entry
-  // from cold_content_ into Annotation::content under hydrate_mu_).
-  util::MutexLock lock(hydrate_mu_);
-  for (const auto& [id, ann] : annotations_) {
-    Annotation& a = copy->annotations_[id];
-    a.id = ann.id;
-    a.dc = ann.dc;
-    a.body = ann.body;
-    a.user_tags = ann.user_tags;
-    a.referents = ann.referents;
-    a.ontology_refs = ann.ontology_refs;
-    if (ann.content.root() != nullptr) {
-      a.content.set_root(ann.content.root()->Clone());
-    }
-  }
-  copy->referents_ = referents_;
-  copy->referent_by_key_ = referent_by_key_;
-  copy->referents_by_domain_ = referents_by_domain_;
-  copy->token_ids_ = token_ids_;
-  copy->postings_ = postings_;
-  copy->lower_text_ = lower_text_;
-  copy->term_node_ids_ = term_node_ids_;
-  copy->term_names_ = term_names_;
-  copy->next_annotation_id_ = next_annotation_id_;
-  copy->next_referent_id_ = next_referent_id_;
-  copy->cold_content_ = cold_content_;
-  copy->has_cold_.store(has_cold_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
+  // Copying shares every chunk and record and revokes this store's edit
+  // token, so neither side edits what the other can see.
+  std::unique_ptr<AnnotationStore> copy(new AnnotationStore(*this));
+  copy->indexes_ = indexes;
+  copy->graph_ = graph;
   return copy;
 }
 

@@ -8,20 +8,25 @@
 //   3. content/referent/term/object nodes and labeled edges are added to
 //      the a-graph.
 //
+// The store is a persistent value (util/persistent.h): annotation and
+// referent slots are id-indexed chunked vectors of shared immutable
+// records, postings are one chunked list per token, and the key, domain
+// and term maps are hash tries. Clone() shares all of it; a commit copies
+// only the chunks and records it touches.
+//
 // Thread-safety: the store performs no synchronization of its own; the
-// owning core::Graphitti runs Commit/Remove on its gate's exclusive side
-// and everything else on the shared side. The store keeps that split
-// clean by building ALL read-acceleration state eagerly at commit time —
-// keyword postings, the per-annotation lowercase text that phrase search
-// scans (lower_text_), the per-domain referent index — so no const search
-// method ever writes. The one non-const lookup, TermNode (creates the
-// term node on first use), is only called from Commit.
+// owning core::Graphitti mutates only unpublished versions, so const
+// methods run against a frozen store. ALL read-acceleration state is built
+// eagerly at commit time — keyword postings, the per-annotation lowercase
+// text that phrase search scans, the per-domain referent index — so no
+// const search method ever writes, except the lazy parse of cold snapshot
+// content, which happens once per shared record under a process-wide
+// hydration mutex.
 #ifndef GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 #define GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,8 +36,7 @@
 #include "agraph/agraph.h"
 #include "annotation/annotation.h"
 #include "spatial/index_manager.h"
-#include "util/string_interner.h"
-#include "util/thread_annotations.h"
+#include "util/persistent.h"
 #include "util/result.h"
 
 namespace graphitti {
@@ -49,14 +53,13 @@ class AnnotationStore {
   /// instance; both must outlive it.
   AnnotationStore(spatial::IndexManager* indexes, agraph::AGraph* graph);
 
-  AnnotationStore(const AnnotationStore&) = delete;
   AnnotationStore& operator=(const AnnotationStore&) = delete;
 
-  /// Deep copy for copy-on-write version publication (util/epoch.h): the
+  /// A copy sharing every chunk and record with this store (O(1)); the
   /// clone borrows `indexes`/`graph` (the *clone's* counterparts, not this
   /// store's). Safe to call while reader threads hydrate cold content on
-  /// this store concurrently — the copy runs under hydrate_mu_, the only
-  /// lock those logically-const fills take.
+  /// this store concurrently — hydration fills the shared records, which
+  /// both stores then see.
   std::unique_ptr<AnnotationStore> Clone(spatial::IndexManager* indexes,
                                          agraph::AGraph* graph) const;
 
@@ -121,8 +124,8 @@ class AnnotationStore {
   // --- Lookup ---
   const Annotation* Get(AnnotationId id) const;
   const Referent* GetReferent(ReferentId id) const;
-  size_t size() const { return annotations_.size(); }
-  size_t num_referents() const { return referents_.size(); }
+  size_t size() const { return num_annotations_; }
+  size_t num_referents() const { return num_referents_; }
 
   /// All annotation ids, ascending.
   std::vector<AnnotationId> Ids() const;
@@ -177,13 +180,12 @@ class AnnotationStore {
   // --- Content access (lazy hydration) ---
   //
   // After a binary-snapshot restore, annotation content arrives as
-  // serialized XML bytes parked in cold_content_; the DOM is parsed on
-  // first access instead of at load time (parsing 50k documents dominates
-  // restart cost). These accessors are the only sanctioned way to read
-  // Annotation::content — they are safe under the engine's shared gate
-  // (internal mutex + atomic fast path), and on a store with no cold
-  // entries (every store that never restored a snapshot) the fast path is
-  // a single relaxed-ish atomic load.
+  // serialized XML bytes parked in the annotation's shared record; the DOM
+  // is parsed on first access instead of at load time (parsing 50k
+  // documents dominates restart cost), once per record for every version
+  // sharing it. These accessors are the only sanctioned way to read
+  // Annotation::content — they are safe from concurrent readers, and for a
+  // record that was never cold the fast path is one atomic load.
 
   /// The annotation's content DOM, hydrating it from the cold bytes first
   /// if needed. The returned reference lives as long as the annotation.
@@ -238,12 +240,11 @@ class AnnotationStore {
                                     uint64_t next_referent_id);
 
   // --- Snapshot encode accessors (core/durability.cc) ---
-  const std::vector<std::string>& TermNames() const { return term_names_; }
+  size_t NumTerms() const { return term_names_.size(); }
+  const std::string& TermNameAt(size_t i) const { return term_names_[i]; }
   size_t NumTokens() const { return postings_.size(); }
-  std::string_view TokenString(uint32_t token_id) const {
-    return token_ids_.StringOf(token_id);
-  }
-  const std::vector<AnnotationId>& PostingsOf(uint32_t token_id) const {
+  std::string_view TokenString(uint32_t token_id) const { return token_strings_[token_id]; }
+  const util::ChunkedVector<AnnotationId>& PostingsOf(uint32_t token_id) const {
     return postings_[token_id];
   }
   std::string_view LowerTextOf(AnnotationId id) const;
@@ -273,6 +274,33 @@ class AnnotationStore {
   }
 
  private:
+  /// One committed annotation, shared by every version that holds it and
+  /// never modified after commit — except the one-time parse of cold
+  /// snapshot content, guarded by the process-wide hydration mutex while
+  /// `cold` is set.
+  struct Record {
+    Annotation ann;          // content empty while cold
+    std::string lower_text;  // lower-cased content text (phrase search)
+    mutable std::atomic<bool> cold{false};
+    mutable std::string cold_xml;
+  };
+  using RecordPtr = std::shared_ptr<const Record>;
+
+  /// Ascending referent ids of one domain. Removal leaves dead ids behind
+  /// (ids are never reused) until they outnumber the live ones.
+  struct DomainList {
+    util::ChunkedVector<ReferentId> ids;
+    size_t live = 0;
+  };
+
+  AnnotationStore(const AnnotationStore&) = default;
+
+  const Record* RecordOf(AnnotationId id) const { return annotations_[id].get(); }
+  void PutAnnotation(Annotation ann, std::string lower_text, util::EditToken token);
+  Referent& MutableReferent(ReferentId id, util::EditToken token) {
+    return referents_.Mutable(id, token).Mutable(token);
+  }
+
   /// Undo log for one Commit's marks loop: shared referents whose object
   /// id the commit adopted (had none before), and object nodes the commit
   /// created in the a-graph — restored/removed if a later mark fails, so a
@@ -311,8 +339,9 @@ class AnnotationStore {
                           std::vector<std::string_view>* words);
   /// Token id for `w`, interning it (with an empty posting list) on first
   /// sight.
-  uint32_t InternToken(std::string_view w);
-  void IndexContentText(AnnotationId id, const Annotation& ann);
+  uint32_t InternToken(std::string_view w, util::EditToken token);
+  /// Posts `ann`'s tokens and returns its lower-cased content text.
+  std::string IndexContentText(AnnotationId id, const Annotation& ann);
   /// Drops `ann`'s postings by re-deriving its token set from the stored
   /// fields (the same deterministic derivation IndexContentText used), so
   /// ingest never materializes per-annotation token vectors.
@@ -337,45 +366,30 @@ class AnnotationStore {
   spatial::IndexManager* indexes_;  // borrowed
   agraph::AGraph* graph_;           // borrowed
 
-  std::map<AnnotationId, Annotation> annotations_;
-  std::map<ReferentId, Referent> referents_;
-  // Substructure::ToString() key -> referent. Hashed, not ordered: the key
-  // is only ever used for exact lookup, and bulk ingest hammers it once per
-  // mark.
-  std::unordered_map<std::string, ReferentId> referent_by_key_;
-  // Domain -> ascending referent ids (ids are monotonically issued, so
-  // push_back keeps each list sorted). Drives ForEachReferentInDomain.
-  // Hashed: only per-domain lookups, never ordered iteration. Queries pay
-  // one short std::string construction per call (C++17 unordered maps have
-  // no heterogeneous find); ingest probes it once per new referent.
-  std::unordered_map<std::string, std::vector<ReferentId>> referents_by_domain_;
+  util::EditOwner owner_;
+  util::ChunkedVector<RecordPtr> annotations_;  // by id; null = absent
+  size_t num_annotations_ = 0;
+  util::ChunkedVector<util::CowBox<Referent>> referents_;  // by id; id 0 = absent
+  size_t num_referents_ = 0;
+  // Substructure::ToString() key -> referent (exact lookup only).
+  util::HashTrie<std::string, ReferentId, util::StringKeyHash> referent_by_key_;
+  // Domain -> its referents. Drives ForEachReferentInDomain.
+  util::HashTrie<std::string, DomainList, util::StringKeyHash> referents_by_domain_;
 
   // Keyword inverted index with interned tokens: token string -> dense token
   // id; postings_[token id] is the ascending posting list of annotations
   // containing the token. Removal re-derives an annotation's token set from
   // its stored fields (see UnindexContentText), so ingest stores no
-  // per-annotation token vectors. lower_text_ caches the lower-cased
-  // serialized content per annotation so phrase search never re-derives
-  // (and re-lowers) it per candidate.
-  util::StringInterner token_ids_;
-  std::vector<std::vector<AnnotationId>> postings_;
-  std::unordered_map<AnnotationId, std::string> lower_text_;
+  // per-annotation token vectors.
+  util::HashTrie<std::string, uint32_t, util::StringKeyHash> token_ids_;
+  util::ChunkedVector<std::string> token_strings_;
+  util::ChunkedVector<util::ChunkedVector<AnnotationId>> postings_;
 
-  std::map<std::string, uint64_t> term_node_ids_;
-  std::vector<std::string> term_names_;  // dense id -> qualified name
+  util::HashTrie<std::string, uint64_t, util::StringKeyHash> term_node_ids_;
+  util::ChunkedVector<std::string> term_names_;  // dense id - 1 -> qualified name
 
   uint64_t next_annotation_id_ = 1;
   uint64_t next_referent_id_ = 1;
-
-  // Cold content store for snapshot-restored annotations: id -> serialized
-  // XML not yet parsed into Annotation::content. ContentOf moves entries
-  // out as they hydrate; has_cold_ flips false when the map drains, which
-  // re-arms the lock-free fast path. All mutable: hydration is a
-  // logically-const cache fill performed under hydrate_mu_.
-  mutable util::Mutex hydrate_mu_;
-  mutable std::unordered_map<AnnotationId, std::string> cold_content_
-      GUARDED_BY(hydrate_mu_);
-  mutable std::atomic<bool> has_cold_{false};
 };
 
 }  // namespace annotation

@@ -259,7 +259,7 @@ Result<substructure::Substructure> DecodeSubstructure(Decoder* dec) {
     case substructure::SubType::kNodeSet:
     case substructure::SubType::kBlockSet:
     case substructure::SubType::kTreeClade: {
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount32(/*u64*/ 8));
       std::vector<uint64_t> elems;
       elems.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
@@ -396,7 +396,8 @@ Status Graphitti::ApplyWalRecord(const persist::WalRecord& record, EngineState& 
   Decoder dec(record.payload);
   switch (record.type) {
     case persist::WalRecordType::kCommitBatch: {
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
+      // Each entry: u64 id + length-prefixed XML.
+      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t count, dec.GetCount32(8 + 4));
       std::vector<AnnotationId> ids;
       std::vector<std::string> xmls;
       ids.reserve(count);
@@ -434,7 +435,7 @@ Status Graphitti::ApplyWalRecord(const persist::WalRecord& record, EngineState& 
       GRAPHITTI_ASSIGN_OR_RETURN(std::string table, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(std::string label, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(RowId logged_rid, dec.GetU64());
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec.GetU32());
+      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec.GetCount32(/*value tag*/ 1));
       {
         util::MutexLock meta(meta_mu_);
         if (objects_.count(object_id) > 0) return Status::OK();  // duplicate
@@ -579,16 +580,15 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
   // Annotation store: term names, the keyword index verbatim, referents,
   // annotations.
   const AnnotationStore& store = *state.store;
-  const std::vector<std::string>& terms = store.TermNames();
-  enc.PutU32(static_cast<uint32_t>(terms.size()));
-  for (const std::string& t : terms) enc.PutString(t);
+  enc.PutU32(static_cast<uint32_t>(store.NumTerms()));
+  for (size_t i = 0; i < store.NumTerms(); ++i) enc.PutString(store.TermNameAt(i));
 
   enc.PutU32(static_cast<uint32_t>(store.NumTokens()));
   for (uint32_t tid = 0; tid < store.NumTokens(); ++tid) {
     enc.PutString(store.TokenString(tid));
-    const std::vector<AnnotationId>& posting = store.PostingsOf(tid);
+    const util::ChunkedVector<AnnotationId>& posting = store.PostingsOf(tid);
     enc.PutU32(static_cast<uint32_t>(posting.size()));
-    for (AnnotationId id : posting) enc.PutU64(id);
+    posting.ForEach([&](size_t, AnnotationId id) { enc.PutU64(id); });
   }
 
   enc.PutU64(store.num_referents());
@@ -691,8 +691,9 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
       Status s = table->CreateIndex(col, kind == 0 ? IndexKind::kHash : IndexKind::kOrdered);
       if (!s.ok() && !s.IsAlreadyExists()) return s;
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetU64());
     const size_t ncols = table->schema().num_columns();
+    // Each row: one tagged value per column.
+    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetCount64(std::max<size_t>(ncols, 1)));
     std::vector<RowId>& rids = rows_by_ordinal[name];
     rids.reserve(nrows);
     for (uint64_t r = 0; r < nrows; ++r) {
@@ -740,7 +741,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
 
   // Annotation store.
   std::vector<std::string> term_names;
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nterms, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nterms, dec.GetCount32(/*string*/ 4));
   term_names.reserve(nterms);
   for (uint32_t i = 0; i < nterms; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string t, dec.GetString());
@@ -748,12 +749,13 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   }
 
   AnnotationStore::RestoredKeywordIndex keyword_index;
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntokens, dec.GetU32());
+  // Each token: its string + a u32 posting length.
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntokens, dec.GetCount32(4 + 4));
   keyword_index.tokens.reserve(ntokens);
   keyword_index.postings.reserve(ntokens);
   for (uint32_t i = 0; i < ntokens; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string token, dec.GetString());
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount32(/*u64*/ 8));
     std::vector<AnnotationId> posting;
     posting.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -764,7 +766,9 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     keyword_index.postings.push_back(std::move(posting));
   }
 
-  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrefs, dec.GetU64());
+  // Each referent: id, object id, refcount, edge flag, then a substructure
+  // (type tag + domain string).
+  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrefs, dec.GetCount64(8 + 8 + 8 + 1 + 1 + 4));
   std::vector<AnnotationStore::RestoredReferent> referents;
   referents.reserve(nrefs);
   for (uint64_t i = 0; i < nrefs; ++i) {
@@ -780,7 +784,8 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     referents.push_back(std::move(rr));
   }
 
-  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nanns, dec.GetU64());
+  // Each annotation: id, DC bitmap, body, three list counts, content, text.
+  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nanns, dec.GetCount64(8 + 4 + 4 + 4 + 4 + 4 + 4 + 4));
   std::vector<AnnotationStore::RestoredAnnotation> annotations;
   annotations.reserve(nanns);
   for (uint64_t i = 0; i < nanns; ++i) {
@@ -789,14 +794,14 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     GRAPHITTI_ASSIGN_OR_RETURN(ra.ann.id, dec.GetU64());
     GRAPHITTI_RETURN_NOT_OK(DecodeDublinCore(&dec, &ra.ann.dc));
     GRAPHITTI_ASSIGN_OR_RETURN(ra.ann.body, dec.GetString());
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntags, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntags, dec.GetCount32(/*two strings*/ 8));
     ra.ann.user_tags.reserve(ntags);
     for (uint32_t j = 0; j < ntags; ++j) {
       GRAPHITTI_ASSIGN_OR_RETURN(std::string k, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(std::string v, dec.GetString());
       ra.ann.user_tags.emplace_back(std::move(k), std::move(v));
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t norefs, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t norefs, dec.GetCount32(/*two strings*/ 8));
     ra.ann.ontology_refs.reserve(norefs);
     for (uint32_t j = 0; j < norefs; ++j) {
       annotation::OntologyRef oref;
@@ -804,7 +809,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
       GRAPHITTI_ASSIGN_OR_RETURN(oref.term, dec.GetString());
       ra.ann.ontology_refs.push_back(std::move(oref));
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nr, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nr, dec.GetCount32(/*u64*/ 8));
     ra.ann.referents.reserve(nr);
     for (uint32_t j = 0; j < nr; ++j) {
       GRAPHITTI_ASSIGN_OR_RETURN(ReferentId rid, dec.GetU64());
@@ -903,7 +908,7 @@ void Graphitti::DiscardPartialHydration() {
   // stable pointers have been handed out yet.
   auto fresh = std::make_unique<EngineState>();
   fresh->InstallBuiltins();
-  epochs_->Publish(std::move(fresh), /*tag=*/0);
+  epochs_->Publish(std::move(fresh));
   util::MutexLock meta(meta_mu_);
   ontologies_.clear();
   objects_.clear();
@@ -1059,6 +1064,8 @@ HealthSnapshot Graphitti::Health() const {
   h.resource_exhausted =
       gov_counters_.resource_exhausted.load(std::memory_order_relaxed);
   if (admission_ != nullptr) h.admission = admission_->Counters();
+  h.live_versions = epochs_->live_versions();
+  h.oldest_pin_epoch_lag = epochs_->oldest_pin_epoch_lag();
   return h;
 }
 

@@ -94,58 +94,17 @@ std::unique_ptr<Graphitti::EngineState> Graphitti::EngineState::Clone() const {
 Graphitti::Graphitti() {
   auto initial = std::make_unique<EngineState>();
   initial->InstallBuiltins();
-  epochs_->Publish(std::move(initial), /*tag=*/0);
+  epochs_->Publish(std::move(initial));
 }
 
-// --- Version publication plumbing ---
+// --- Version publication ---
 
 std::unique_ptr<Graphitti::EngineState> Graphitti::AcquireScratch() {
-  if (!state_dirty_.load(std::memory_order_acquire)) {
-    uint64_t tag = 0;
-    std::unique_ptr<util::Versioned> standby = epochs_->TakeRecyclable(&tag);
-    if (standby != nullptr) {
-      auto* state = static_cast<EngineState*>(standby.get());
-      bool caught_up = true;
-      for (const PendingOp& pending : pending_ops_) {
-        if (pending.seq <= tag) continue;  // already baked into the standby
-        if (!pending.op(*state).ok()) {
-          caught_up = false;  // replay diverged: discard, clone below
-          break;
-        }
-      }
-      if (caught_up) {
-        standby.release();
-        return std::unique_ptr<EngineState>(state);
-      }
-    }
-  }
-  // No recyclable standby (a long reader still pins it, a direct substrate
-  // mutation made replay unsound, or the op log was truncated): pay one
-  // full clone and restart the recycle chain from here.
-  state_dirty_.store(false, std::memory_order_release);
-  pending_ops_.clear();
-  epochs_->DropRecyclable();
   return CurrentState()->Clone();
 }
 
-void Graphitti::PublishOp(std::unique_ptr<EngineState> next, EngineOp op) {
-  const uint64_t seq = ++op_seq_;
-  const uint64_t prev_tag = current_tag_;
-  epochs_->Publish(std::move(next), seq);
-  current_tag_ = seq;
-  if (op == nullptr) {
-    // Unreplayable mutation: the just-retired version can never be caught
-    // up, so stop it from being recycled and drop the op log.
-    pending_ops_.clear();
-    epochs_->DropRecyclable();
-    return;
-  }
-  pending_ops_.push_back({seq, std::move(op)});
-  // Ops at or below the new recycle candidate's tag (the previous current)
-  // are baked into it; only newer ones are needed to catch it up.
-  while (!pending_ops_.empty() && pending_ops_.front().seq <= prev_tag) {
-    pending_ops_.pop_front();
-  }
+void Graphitti::Publish(std::unique_ptr<EngineState> next) {
+  epochs_->Publish(std::move(next));
 }
 
 // --- Coordinate systems ---
@@ -155,15 +114,13 @@ util::Status Graphitti::RegisterCoordinateSystem(std::string_view name, int dims
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [name = std::string(name), dims](EngineState& s) {
-    return s.indexes.coordinate_systems().RegisterCanonical(name, dims);
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
+  GRAPHITTI_RETURN_NOT_OK(
+      scratch->indexes.coordinate_systems().RegisterCanonical(std::string(name), dims));
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCoordSystem,
                                       walrec::EncodeCoordSystem(name, dims)));
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return Status::OK();
 }
 
@@ -175,17 +132,14 @@ util::Status Graphitti::RegisterDerivedCoordinateSystem(
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [name = std::string(name), canonical = std::string(canonical), scale,
-                 offset](EngineState& s) {
-    return s.indexes.coordinate_systems().RegisterDerived(name, canonical, scale, offset);
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
+  GRAPHITTI_RETURN_NOT_OK(scratch->indexes.coordinate_systems().RegisterDerived(
+      std::string(name), std::string(canonical), scale, offset));
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(
         WalAppend(persist::WalRecordType::kDerivedCoordSystem,
                   walrec::EncodeDerivedCoordSystem(name, canonical, scale, offset)));
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return Status::OK();
 }
 
@@ -257,20 +211,10 @@ util::Result<uint64_t> Graphitti::CommitRowInsert(std::unique_ptr<EngineState> s
     util::MutexLock meta(meta_mu_);
     id = next_object_id_++;
   }
-  // The op re-derives the row id deterministically on replay; the first
-  // application reports it through the shared slot.
-  auto out_rid = std::make_shared<RowId>(0);
-  EngineOp op = [table, row = std::move(row), label, id, out_rid](EngineState& s) -> Status {
-    relational::Table* t = s.catalog.GetTable(table);
-    if (t == nullptr) {
-      return Status::Internal("table '" + table + "' missing during op replay");
-    }
-    GRAPHITTI_ASSIGN_OR_RETURN(*out_rid, t->Insert(row));
-    s.graph.EnsureNode(agraph::NodeRef::Object(id), label);
-    return Status::OK();
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
-  const RowId rid = *out_rid;
+  relational::Table* t = scratch->catalog.GetTable(table);
+  if (t == nullptr) return Status::NotFound("table '" + table + "' not found");
+  GRAPHITTI_ASSIGN_OR_RETURN(const RowId rid, t->Insert(std::move(row)));
+  scratch->graph.EnsureNode(agraph::NodeRef::Object(id), label);
 
   ObjectInfo info;
   info.id = id;
@@ -295,7 +239,7 @@ util::Result<uint64_t> Graphitti::CommitRowInsert(std::unique_ptr<EngineState> s
     object_by_row_[info.table][rid] = id;
     objects_.emplace(id, std::move(info));
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return id;
 }
 
@@ -416,19 +360,14 @@ util::Result<relational::Table*> Graphitti::CreateTable(std::string name,
   std::string record;
   if (env_ != nullptr) record = walrec::EncodeCreateTable(name, schema);
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [name, schema](EngineState& s) {
-    return s.catalog.CreateTable(name, schema).status();
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
+  GRAPHITTI_ASSIGN_OR_RETURN(relational::Table * table,
+                             scratch->catalog.CreateTable(name, std::move(schema)));
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(
         WalAppend(persist::WalRecordType::kCreateTable, std::move(record)));
   }
-  PublishOp(std::move(scratch), std::move(op));
-  // The returned handle allows direct (unversioned) inserts; make the next
-  // commit clone rather than trust op replay.
-  MarkStateDirty();
-  return CurrentState()->catalog.GetTable(name);
+  Publish(std::move(scratch));
+  return table;
 }
 
 util::Result<uint64_t> Graphitti::IngestRecord(std::string_view table, relational::Row row,
@@ -527,18 +466,13 @@ util::Result<annotation::AnnotationId> Graphitti::Commit(
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  auto out_id = std::make_shared<annotation::AnnotationId>(0);
-  EngineOp op = [builder, out_id](EngineState& s) -> Status {
-    GRAPHITTI_ASSIGN_OR_RETURN(*out_id, s.store->Commit(builder));
-    return Status::OK();
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
-  const annotation::AnnotationId id = *out_id;
+  GRAPHITTI_ASSIGN_OR_RETURN(const annotation::AnnotationId id,
+                             scratch->store->Commit(builder));
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCommitBatch,
                                       walrec::EncodeCommitBatch(*scratch->store, {id})));
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return id;
 }
 
@@ -556,15 +490,7 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitBatch(
     GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCommitBatch,
                                       walrec::EncodeCommitBatch(*scratch->store, ids)));
   }
-  if (builders.size() > kMaxReplayBatch) {
-    // Replaying a bulk load onto the standby would double its cost;
-    // publish unreplayable and let the next commit pay one clone.
-    PublishOp(std::move(scratch), nullptr);
-  } else {
-    PublishOp(std::move(scratch), [builders](EngineState& s) {
-      return s.store->CommitBatch(builders).status();
-    });
-  }
+  Publish(std::move(scratch));
   return ids;
 }
 
@@ -575,13 +501,12 @@ util::Status Graphitti::RemoveAnnotation(annotation::AnnotationId id) {
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [id](EngineState& s) { return s.store->Remove(id); };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
+  GRAPHITTI_RETURN_NOT_OK(scratch->store->Remove(id));
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(
         WalAppend(persist::WalRecordType::kRemove, walrec::EncodeRemove(id)));
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return Status::OK();
 }
 
@@ -750,13 +675,9 @@ void Graphitti::VacuumTables() {
   util::MutexLock commit(commit_mu_);
   if (!WalGuard().ok()) return;  // poisoned: refuse rather than diverge
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [](EngineState& s) {
-    for (const std::string& name : s.catalog.TableNames()) {
-      s.catalog.GetTable(name)->Vacuum();
-    }
-    return Status::OK();
-  };
-  if (!op(*scratch).ok()) return;
+  for (const std::string& name : scratch->catalog.TableNames()) {
+    scratch->catalog.GetTable(name)->Vacuum();
+  }
   if (env_ != nullptr) {
     // Vacuum renumbers row ids, so replay must reproduce it at the same
     // point in the record sequence. A failed append poisons and discards
@@ -764,7 +685,7 @@ void Graphitti::VacuumTables() {
     // mutators refuse.
     if (!WalAppend(persist::WalRecordType::kVacuum, std::string()).ok()) return;
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
 }
 
 // --- Resolver entry points ---

@@ -21,9 +21,10 @@
 //             observes a commit-consistent state across all substrates at
 //             once — never a half-applied mutation.
 //   [commit]  serializes on the engine's commit mutex, builds the next
-//             version off to the side (recycling the previous version by
-//             op replay when possible — see AcquireScratch), appends to
-//             the WAL, then publishes with a single pointer swing.
+//             version off to the side (a structure-sharing copy of the
+//             current one that path-copies only what the commit touches
+//             — see AcquireScratch), appends to the WAL, then publishes
+//             with a single pointer swing.
 //             In-flight readers keep their pinned version; new readers
 //             see the new one. Durable ordering is commit -> WAL record
 //             -> publish: a mutation is never visible to any reader
@@ -48,13 +49,21 @@
 // its own small mutex; GetObject / GetOntology pointers are stable for
 // the engine's lifetime as before.
 //
+// Versions are persistent values (util/persistent.h): every substrate
+// keeps its state in refcounted immutable chunks, a new version shares all
+// of them with its predecessor, and a mutation copies only the chunks on
+// the path to what it changes. That is the one way a version is made, so
+// a commit costs the delta whether or not readers hold older versions,
+// and retiring a version frees only the chunks no other version shares.
+//
 // Two escape hatches bypass versioning and are single-threaded-use only:
 //   - the substrate accessors (catalog()/indexes()/graph()/annotations())
 //     hand out direct references INTO THE CURRENT VERSION for power users
-//     and tests; mutating through them marks the engine so the next
-//     commit clones instead of recycling, but concurrent readers of the
-//     same version would observe the mutation — use only while no other
-//     thread touches the engine.
+//     and tests; mutating through them path-copies every chunk the current
+//     version shares with older ones (so pinned older versions never
+//     change), but concurrent readers of the current version itself would
+//     observe the mutation — use only while no other thread touches the
+//     engine.
 //   - GetObjectRow returns a pointer into the current version's table
 //     storage, which a [commit] call may retire; dereference it only
 //     while writers are quiescent.
@@ -63,7 +72,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -152,6 +160,12 @@ struct HealthSnapshot {
   uint64_t resource_exhausted = 0;
   /// Admission-controller totals (zero when admission is unconfigured).
   util::AdmissionCounters admission;
+  /// Engine-state versions alive: the current one plus those still pinned
+  /// by in-flight readers or held results.
+  uint64_t live_versions = 0;
+  /// Current epoch minus the oldest still-pinned epoch: how many commits
+  /// the slowest held result is behind (0 when nothing older is pinned).
+  uint64_t oldest_pin_epoch_lag = 0;
 };
 
 /// Configuration for a crash-safe (OpenDurable) engine.
@@ -184,7 +198,7 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// four substrates that must stay mutually consistent. Heap-allocated
   /// and never moved once built (the store borrows pointers to its sibling
   /// indexes/graph). Readers reach it through an util::EpochPin; writers
-  /// build the next one via Clone() or op-replay recycling.
+  /// build the next one from Clone(), which shares every chunk.
   struct EngineState : util::Versioned {
     relational::Catalog catalog;
     spatial::IndexManager indexes;
@@ -196,7 +210,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     /// Registers the built-in type tables with their hash indexes (fresh
     /// engines only; restored states decode their tables instead).
     void InstallBuiltins();
-    /// Deep copy; the copy's store borrows the copy's indexes/graph.
+    /// Structure-sharing copy, O(number of substrate roots); the copy's
+    /// store borrows the copy's indexes/graph.
     std::unique_ptr<EngineState> Clone() const;
   };
 
@@ -211,15 +226,14 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   //
   // UNVERSIONED ESCAPE HATCH: these return references into the *current*
   // version without pinning it. Use them only while no other thread
-  // touches the engine (setup, teardown, tests). The non-const overloads
-  // mark the state dirty so the next commit clones rather than replaying
-  // onto a recycled version that missed the direct mutation. They force
-  // deferred recovery first, so a freshly opened durable engine hands out
-  // fully hydrated substrates.
-  /// [unversioned] Mutable relational catalog (marks state dirty).
+  // touches the engine (setup, teardown, tests). A mutation through them
+  // changes the current version in place but path-copies every chunk it
+  // shares with older versions, so results pinned on those stay intact.
+  // They force deferred recovery first, so a freshly opened durable engine
+  // hands out fully hydrated substrates.
+  /// [unversioned] Mutable relational catalog.
   relational::Catalog& catalog() {
     (void)EnsureHydrated();
-    MarkStateDirty();
     return CurrentState()->catalog;
   }
   /// [unversioned] Read-only relational catalog.
@@ -227,10 +241,9 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     (void)EnsureHydrated();
     return CurrentState()->catalog;
   }
-  /// [unversioned] Mutable spatial index manager (marks state dirty).
+  /// [unversioned] Mutable spatial index manager.
   spatial::IndexManager& indexes() {
     (void)EnsureHydrated();
-    MarkStateDirty();
     return CurrentState()->indexes;
   }
   /// [unversioned] Read-only spatial index manager.
@@ -238,10 +251,9 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     (void)EnsureHydrated();
     return CurrentState()->indexes;
   }
-  /// [unversioned] Mutable a-graph (marks state dirty).
+  /// [unversioned] Mutable a-graph.
   agraph::AGraph& graph() {
     (void)EnsureHydrated();
-    MarkStateDirty();
     return CurrentState()->graph;
   }
   /// [unversioned] Read-only a-graph.
@@ -249,10 +261,9 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     (void)EnsureHydrated();
     return CurrentState()->graph;
   }
-  /// [unversioned] Mutable annotation store (marks state dirty).
+  /// [unversioned] Mutable annotation store.
   annotation::AnnotationStore& annotations() {
     (void)EnsureHydrated();
-    MarkStateDirty();
     return *CurrentState()->store;
   }
   /// [unversioned] Read-only annotation store.
@@ -309,7 +320,10 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// annotable too). The returned Table* points into the version current
   /// at return and is a substrate handle: rows inserted through it
   /// directly bypass versioning (single-threaded escape hatch, like the
-  /// substrate accessors; the engine is marked dirty accordingly).
+  /// substrate accessors) and path-copy the row chunks that version
+  /// shares with others, so no other version sees them. Like the
+  /// accessors' references, the handle is valid only while its version is
+  /// current or pinned: a later [commit] call may retire and free it.
   util::Result<relational::Table*> CreateTable(std::string name, relational::Schema schema);
   /// [commit] Inserts a record into any table and registers it as a
   /// data object.
@@ -511,8 +525,7 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   // --- Version-lifecycle observability (tests / diagnostics) ---
 
   /// [any-thread] Number of engine-state versions currently alive: the
-  /// published one, plus any still pinned by in-flight readers or
-  /// results, plus at most one parked recycle standby.
+  /// published one plus any still pinned by in-flight readers or results.
   size_t live_engine_versions() const { return epochs_->live_versions(); }
   /// [any-thread] Monotonic count of published versions; bumps once per
   /// version-changing commit.
@@ -535,44 +548,20 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   std::vector<std::string> ExpandTermBelow(const std::string& qualified) const override;
 
  private:
-  /// A deterministic, re-appliable versioned mutation: applying it to the
-  /// state it was logged against always reproduces the same result
-  /// (fresh ids come from counters inside the state). The commit path
-  /// applies it to scratch; AcquireScratch replays it to catch a recycled
-  /// standby up.
-  using EngineOp = std::function<util::Status(EngineState&)>;
-  struct PendingOp {
-    uint64_t seq = 0;
-    EngineOp op;
-  };
-
-  /// Batches larger than this publish without a recorded op (replaying
-  /// them onto the standby would double the bulk-ingest cost); the
-  /// standby is dropped and the next commit pays one clone instead.
-  static constexpr size_t kMaxReplayBatch = 64;
-
   /// The current version. Writer-side (commit_mu_ holder) or
   /// single-threaded use; readers pin via epochs_->PinCurrent() instead.
   EngineState* CurrentState() const {
     return static_cast<EngineState*>(epochs_->Current());
   }
 
-  /// Makes the next commit clone instead of recycling (a direct substrate
-  /// mutation happened that op replay cannot reproduce).
-  void MarkStateDirty() { state_dirty_.store(true, std::memory_order_release); }
-
-  /// Commit-side: a mutable next-version to apply the op to. Recycles the
-  /// drained previous version by replaying the ops it missed; falls back
-  /// to a full Clone() of current when no standby is available (long
-  /// reader still pins it, dirty direct mutation, or the op log was
-  /// truncated by an unreplayable batch).
+  /// Commit-side: the next version to mutate — a copy of the current one
+  /// that shares every chunk with it (O(number of substrate roots)). The
+  /// commit path-copies only what it touches, so the current version and
+  /// every version readers still pin stay bit-identical.
   std::unique_ptr<EngineState> AcquireScratch() REQUIRES(commit_mu_);
 
-  /// Commit-side: publishes `next` as the new current version and records
-  /// `op` for standby replay (nullptr = unreplayable; the op log is
-  /// cleared and the standby dropped).
-  void PublishOp(std::unique_ptr<EngineState> next, EngineOp op)
-      REQUIRES(commit_mu_);
+  /// Commit-side: publishes `next` as the new current version.
+  void Publish(std::unique_ptr<EngineState> next) REQUIRES(commit_mu_);
 
   /// Shared tail of the seven Ingest* methods and IngestRecord: applies
   /// "insert row + register object `label`" to scratch, WAL-logs the
@@ -670,17 +659,6 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// checkpointing. Readers never take it. Lock order: commit_mu_ before
   /// meta_mu_ (commits insert registration metadata while holding both).
   mutable util::Mutex commit_mu_ ACQUIRED_BEFORE(meta_mu_);
-  /// Op log for standby recycling. Invariant: contains every op with seq
-  /// greater than the recycle candidate's tag.
-  std::deque<PendingOp> pending_ops_ GUARDED_BY(commit_mu_);
-  /// Last published op sequence number.
-  uint64_t op_seq_ GUARDED_BY(commit_mu_) = 0;
-  /// Tag of the currently published version.
-  uint64_t current_tag_ GUARDED_BY(commit_mu_) = 0;
-  /// Set by the unversioned escape hatches: the current version was
-  /// mutated in place, so the parked standby can no longer be caught up
-  /// by op replay.
-  std::atomic<bool> state_dirty_{false};
 
   // Engine-level metadata: append-only, values node-stable once inserted
   // (GetObject/GetOntology hand out long-lived pointers). Guarded by

@@ -363,11 +363,7 @@ util::Status Graphitti::RestoreObject(uint64_t object_id, std::string_view table
   // import paths), and the row's own kObject record or snapshot already
   // carries it where durability is in play.
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [object_id, label](EngineState& s) {
-    s.graph.EnsureNode(agraph::NodeRef::Object(object_id), label);
-    return Status::OK();
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
+  scratch->graph.EnsureNode(agraph::NodeRef::Object(object_id), label);
   {
     util::MutexLock meta(meta_mu_);
     ObjectInfo info;
@@ -379,7 +375,7 @@ util::Status Graphitti::RestoreObject(uint64_t object_id, std::string_view table
     objects_.emplace(object_id, std::move(info));
     next_object_id_ = std::max(next_object_id_, object_id + 1);
   }
-  PublishOp(std::move(scratch), std::move(op));
+  Publish(std::move(scratch));
   return Status::OK();
 }
 

@@ -111,11 +111,35 @@ class Decoder {
     return std::string(s);
   }
 
+  /// Reads an element count and checks that `count` elements of at least
+  /// `min_element_bytes` encoded bytes each fit in what remains, so a
+  /// corrupt count (even behind a valid CRC) can never drive an
+  /// allocation: a count that cannot fit is a kInternal corruption error.
+  util::Result<uint32_t> GetCount32(size_t min_element_bytes) {
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t count, GetU32());
+    GRAPHITTI_RETURN_NOT_OK(CheckCount(count, min_element_bytes));
+    return count;
+  }
+  util::Result<uint64_t> GetCount64(size_t min_element_bytes) {
+    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t count, GetU64());
+    GRAPHITTI_RETURN_NOT_OK(CheckCount(count, min_element_bytes));
+    return count;
+  }
+
   bool Done() const { return pos_ == data_.size(); }
   size_t pos() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  util::Status CheckCount(uint64_t count, size_t min_element_bytes) const {
+    if (min_element_bytes != 0 && count > remaining() / min_element_bytes) {
+      return util::Status::Internal("corrupt count " + std::to_string(count) + " at offset " +
+                                    std::to_string(pos_) + ": " + std::to_string(remaining()) +
+                                    " bytes left cannot hold that many elements");
+    }
+    return util::Status::OK();
+  }
+
   util::Status Need(size_t n) const {
     if (data_.size() - pos_ < n) {
       return util::Status::Internal("truncated record: need " + std::to_string(n) +

@@ -7,20 +7,18 @@ util::Result<Table*> Catalog::CreateTable(std::string name, Schema schema) {
   if (tables_.count(name) > 0) {
     return util::Status::AlreadyExists("table '" + name + "' already exists");
   }
-  auto table = std::make_unique<Table>(name, std::move(schema));
-  Table* ptr = table.get();
-  tables_.emplace(std::move(name), std::move(table));
-  return ptr;
+  Table table(name, std::move(schema));
+  return &tables_.emplace(std::move(name), std::move(table)).first->second;
 }
 
 Table* Catalog::GetTable(std::string_view name) {
   auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 const Table* Catalog::GetTable(std::string_view name) const {
   auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 util::Status Catalog::DropTable(std::string_view name) {
@@ -41,15 +39,13 @@ std::vector<std::string> Catalog::TableNames() const {
 
 size_t Catalog::TotalRows() const {
   size_t total = 0;
-  for (const auto& [_, table] : tables_) total += table->size();
+  for (const auto& [_, table] : tables_) total += table.size();
   return total;
 }
 
 Catalog Catalog::Clone() const {
   Catalog copy;
-  for (const auto& [name, table] : tables_) {
-    copy.tables_.emplace(name, table->Clone());
-  }
+  copy.tables_ = tables_;
   return copy;
 }
 

@@ -38,11 +38,12 @@ class Catalog {
   /// Sum of live rows across all tables (admin statistics).
   size_t TotalRows() const;
 
-  /// Deep copy of every table for copy-on-write version publication.
+  /// A copy sharing every table's rows and index chunks (O(number of
+  /// tables)); each side's later writes path-copy what they touch.
   Catalog Clone() const;
 
  private:
-  std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
+  std::map<std::string, Table, std::less<>> tables_;
 };
 
 }  // namespace relational

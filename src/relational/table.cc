@@ -8,38 +8,36 @@ namespace relational {
 util::Result<RowId> Table::Insert(Row row) {
   GRAPHITTI_RETURN_NOT_OK(schema_.ValidateRow(row));
   RowId id = rows_.size();
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
+  auto stored = std::make_shared<const Row>(std::move(row));
+  IndexInsert(id, *stored);
+  rows_.push_back(std::move(stored), owner_.Get());
   ++live_count_;
-  IndexInsert(id, rows_.back());
   return id;
 }
 
 util::Status Table::Update(RowId id, Row row) {
-  if (id >= rows_.size() || !live_[id]) {
+  if (Get(id) == nullptr) {
     return util::Status::NotFound("row " + std::to_string(id) + " not found in '" + name_ + "'");
   }
   GRAPHITTI_RETURN_NOT_OK(schema_.ValidateRow(row));
-  IndexRemove(id, rows_[id]);
-  rows_[id] = std::move(row);
-  IndexInsert(id, rows_[id]);
+  IndexRemove(id, *rows_[id]);
+  auto stored = std::make_shared<const Row>(std::move(row));
+  IndexInsert(id, *stored);
+  rows_.Set(id, std::move(stored), owner_.Get());
   return util::Status::OK();
 }
 
 util::Status Table::Delete(RowId id) {
-  if (id >= rows_.size() || !live_[id]) {
+  if (Get(id) == nullptr) {
     return util::Status::NotFound("row " + std::to_string(id) + " not found in '" + name_ + "'");
   }
-  IndexRemove(id, rows_[id]);
-  live_[id] = false;
+  IndexRemove(id, *rows_[id]);
+  rows_.Set(id, nullptr, owner_.Get());
   --live_count_;
   return util::Status::OK();
 }
 
-const Row* Table::Get(RowId id) const {
-  if (id >= rows_.size() || !live_[id]) return nullptr;
-  return &rows_[id];
-}
+const Row* Table::Get(RowId id) const { return rows_[id].get(); }
 
 Value Table::GetCell(RowId id, std::string_view column) const {
   const Row* row = Get(id);
@@ -54,76 +52,71 @@ util::Status Table::CreateIndex(std::string_view column, IndexKind kind) {
   if (idx < 0) {
     return util::Status::NotFound("no column '" + std::string(column) + "' in '" + name_ + "'");
   }
-  for (const auto& index : indexes_) {
-    if (index->column == idx) {
+  for (const Index& index : indexes_) {
+    if (index.column == idx) {
       return util::Status::AlreadyExists("index on '" + std::string(column) + "' already exists");
     }
   }
-  auto index = std::make_unique<Index>();
-  index->kind = kind;
-  index->column = idx;
+  Index index;
+  index.kind = kind;
+  index.column = idx;
   // Backfill from existing rows.
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    if (!live_[id]) continue;
-    const Value& key = rows_[id][static_cast<size_t>(idx)];
-    if (key.is_null()) continue;
-    if (kind == IndexKind::kHash) {
-      index->hash[key].push_back(id);
-    } else {
-      index->ordered.emplace(key, id);
-    }
-  }
+  Scan([&](RowId id, const Row& row) { AddToIndex(&index, id, row); });
   indexes_.push_back(std::move(index));
   return util::Status::OK();
 }
 
 bool Table::HasIndex(std::string_view column) const {
   int idx = schema_.FindColumn(column);
-  for (const auto& index : indexes_) {
-    if (index->column == idx) return true;
+  for (const Index& index : indexes_) {
+    if (index.column == idx) return true;
   }
   return false;
 }
 
 std::vector<std::pair<std::string, IndexKind>> Table::IndexDescriptors() const {
   std::vector<std::pair<std::string, IndexKind>> out;
-  for (const auto& index : indexes_) {
-    out.emplace_back(schema_.column(static_cast<size_t>(index->column)).name, index->kind);
+  for (const Index& index : indexes_) {
+    out.emplace_back(schema_.column(static_cast<size_t>(index.column)).name, index.kind);
   }
   return out;
 }
 
-void Table::IndexInsert(RowId id, const Row& row) {
-  for (auto& index : indexes_) {
-    const Value& key = row[static_cast<size_t>(index->column)];
-    if (key.is_null()) continue;
-    if (index->kind == IndexKind::kHash) {
-      index->hash[key].push_back(id);
-    } else {
-      index->ordered.emplace(key, id);
-    }
+void Table::AddToIndex(Index* index, RowId id, const Row& row) {
+  const Value& key = row[static_cast<size_t>(index->column)];
+  if (key.is_null()) return;
+  const util::EditToken token = owner_.Get();
+  if (index->kind == IndexKind::kHash) {
+    index->hash.Mutable(key, token).push_back(id, token);
+  } else {
+    index->ordered.Insert(key, id, token);
   }
 }
 
+void Table::IndexInsert(RowId id, const Row& row) {
+  for (Index& index : indexes_) AddToIndex(&index, id, row);
+}
+
 void Table::IndexRemove(RowId id, const Row& row) {
-  for (auto& index : indexes_) {
-    const Value& key = row[static_cast<size_t>(index->column)];
+  const util::EditToken token = owner_.Get();
+  for (Index& index : indexes_) {
+    const Value& key = row[static_cast<size_t>(index.column)];
     if (key.is_null()) continue;
-    if (index->kind == IndexKind::kHash) {
-      auto it = index->hash.find(key);
-      if (it != index->hash.end()) {
-        auto& ids = it->second;
-        ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-        if (ids.empty()) index->hash.erase(it);
+    if (index.kind == IndexKind::kHash) {
+      const util::ChunkedVector<RowId>* ids = index.hash.Find(key);
+      if (ids == nullptr) continue;
+      // Rare (update/delete): rebuild the key's list without `id`.
+      util::ChunkedVector<RowId> kept;
+      ids->ForEach([&](size_t, RowId other) {
+        if (other != id) kept.push_back(other, token);
+      });
+      if (kept.empty()) {
+        index.hash.Erase(key, token);
+      } else {
+        index.hash.Assign(key, std::move(kept), token);
       }
     } else {
-      auto range = index->ordered.equal_range(key);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == id) {
-          index->ordered.erase(it);
-          break;
-        }
-      }
+      index.ordered.Erase(key, id, token);
     }
   }
 }
@@ -132,16 +125,16 @@ const Table::Index* Table::FindUsableIndex(const Predicate& cmp) const {
   if (cmp.kind() != Predicate::Kind::kCompare) return nullptr;
   int idx = schema_.FindColumn(cmp.column());
   if (idx < 0) return nullptr;
-  for (const auto& index : indexes_) {
-    if (index->column != idx) continue;
+  for (const Index& index : indexes_) {
+    if (index.column != idx) continue;
     switch (cmp.op()) {
       case CompareOp::kEq:
-        return index.get();
+        return &index;
       case CompareOp::kLt:
       case CompareOp::kLe:
       case CompareOp::kGt:
       case CompareOp::kGe:
-        if (index->kind == IndexKind::kOrdered) return index.get();
+        if (index.kind == IndexKind::kOrdered) return &index;
         break;
       default:
         break;
@@ -154,32 +147,39 @@ std::vector<RowId> Table::ProbeIndex(const Index& index, const Predicate& cmp) c
   std::vector<RowId> out;
   const Value& lit = cmp.literal();
   if (index.kind == IndexKind::kHash) {
-    auto it = index.hash.find(lit);
-    if (it != index.hash.end()) out = it->second;
+    if (const util::ChunkedVector<RowId>* ids = index.hash.Find(lit)) {
+      out.reserve(ids->size());
+      ids->ForEach([&](size_t, RowId id) { out.push_back(id); });
+    }
   } else {
+    // Each case scans from the first key its `below` test does not skip
+    // and stops at the first key past the range.
+    auto collect_while = [&](auto&& in_range) {
+      return [&](const Value& key, RowId id) {
+        if (!in_range(key)) return false;
+        out.push_back(id);
+        return true;
+      };
+    };
+    auto none_below = [](const Value&) { return false; };
+    auto below_lit = [&](const Value& key) { return key.Compare(lit) < 0; };
+    auto up_to_lit = [&](const Value& key) { return key.Compare(lit) <= 0; };
+    auto always = [](const Value&) { return true; };
     switch (cmp.op()) {
-      case CompareOp::kEq: {
-        auto range = index.ordered.equal_range(lit);
-        for (auto it = range.first; it != range.second; ++it) out.push_back(it->second);
+      case CompareOp::kEq:
+        index.ordered.Scan(below_lit, collect_while(up_to_lit));
         break;
-      }
       case CompareOp::kLt:
-        for (auto it = index.ordered.begin();
-             it != index.ordered.end() && it->first.Compare(lit) < 0; ++it)
-          out.push_back(it->second);
+        index.ordered.Scan(none_below, collect_while(below_lit));
         break;
       case CompareOp::kLe:
-        for (auto it = index.ordered.begin();
-             it != index.ordered.end() && it->first.Compare(lit) <= 0; ++it)
-          out.push_back(it->second);
+        index.ordered.Scan(none_below, collect_while(up_to_lit));
         break;
       case CompareOp::kGt:
-        for (auto it = index.ordered.upper_bound(lit); it != index.ordered.end(); ++it)
-          out.push_back(it->second);
+        index.ordered.Scan(up_to_lit, collect_while(always));
         break;
       case CompareOp::kGe:
-        for (auto it = index.ordered.lower_bound(lit); it != index.ordered.end(); ++it)
-          out.push_back(it->second);
+        index.ordered.Scan(below_lit, collect_while(always));
         break;
       default:
         break;
@@ -213,7 +213,8 @@ util::Result<std::vector<RowId>> Table::Select(const Predicate& pred) const {
   std::vector<RowId> out;
   if (best != nullptr) {
     for (RowId id : ProbeIndex(*best_index, *best)) {
-      if (live_[id] && pred.Eval(schema_, rows_[id])) out.push_back(id);
+      const Row* row = Get(id);
+      if (row != nullptr && pred.Eval(schema_, *row)) out.push_back(id);
     }
     return out;
   }
@@ -223,9 +224,9 @@ util::Result<std::vector<RowId>> Table::Select(const Predicate& pred) const {
 util::Result<std::vector<RowId>> Table::SelectScan(const Predicate& pred) const {
   GRAPHITTI_RETURN_NOT_OK(pred.Bind(schema_));
   std::vector<RowId> out;
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    if (live_[id] && pred.Eval(schema_, rows_[id])) out.push_back(id);
-  }
+  Scan([&](RowId id, const Row& row) {
+    if (pred.Eval(schema_, row)) out.push_back(id);
+  });
   return out;
 }
 
@@ -239,15 +240,20 @@ double Table::EstimateSelectivity(const Predicate& pred) const {
       // Exact estimate from a hash/ordered index when available.
       int idx = schema_.FindColumn(pred.column());
       if (idx >= 0 && pred.op() == CompareOp::kEq) {
-        for (const auto& index : indexes_) {
-          if (index->column != idx) continue;
+        for (const Index& index : indexes_) {
+          if (index.column != idx) continue;
           size_t matches = 0;
-          if (index->kind == IndexKind::kHash) {
-            auto it = index->hash.find(pred.literal());
-            matches = it == index->hash.end() ? 0 : it->second.size();
+          if (index.kind == IndexKind::kHash) {
+            const util::ChunkedVector<RowId>* ids = index.hash.Find(pred.literal());
+            matches = ids == nullptr ? 0 : ids->size();
           } else {
-            auto range = index->ordered.equal_range(pred.literal());
-            matches = static_cast<size_t>(std::distance(range.first, range.second));
+            const Value& lit = pred.literal();
+            index.ordered.Scan([&](const Value& key) { return key.Compare(lit) < 0; },
+                               [&](const Value& key, RowId) {
+                                 if (key.Compare(lit) != 0) return false;
+                                 ++matches;
+                                 return true;
+                               });
           }
           return static_cast<double>(matches) / n;
         }
@@ -279,32 +285,23 @@ double Table::EstimateSelectivity(const Predicate& pred) const {
 }
 
 void Table::Vacuum() {
-  std::vector<Row> compacted;
-  compacted.reserve(live_count_);
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    if (live_[id]) compacted.push_back(std::move(rows_[id]));
-  }
+  const util::EditToken token = owner_.Get();
+  util::ChunkedVector<RowPtr> compacted;
+  rows_.ForEachRun([&](size_t, const RowPtr* run, size_t n) {
+    for (size_t k = 0; k < n; ++k) {
+      if (run[k] != nullptr) compacted.push_back(run[k], token);
+    }
+  });
   rows_ = std::move(compacted);
-  live_.assign(rows_.size(), true);
   // Rebuild indexes with the new RowIds.
-  for (auto& index : indexes_) {
-    index->hash.clear();
-    index->ordered.clear();
+  for (Index& index : indexes_) {
+    index.hash = {};
+    index.ordered = {};
   }
-  for (RowId id = 0; id < rows_.size(); ++id) IndexInsert(id, rows_[id]);
+  Scan([&](RowId id, const Row& row) { IndexInsert(id, row); });
 }
 
-std::unique_ptr<Table> Table::Clone() const {
-  auto copy = std::make_unique<Table>(name_, schema_);
-  copy->rows_ = rows_;
-  copy->live_ = live_;
-  copy->live_count_ = live_count_;
-  copy->indexes_.reserve(indexes_.size());
-  for (const auto& index : indexes_) {
-    copy->indexes_.push_back(std::make_unique<Index>(*index));
-  }
-  return copy;
-}
+std::unique_ptr<Table> Table::Clone() const { return std::make_unique<Table>(*this); }
 
 std::string Table::ToString() const {
   return name_ + " " + schema_.ToString() + " [" + std::to_string(live_count_) + " rows]";

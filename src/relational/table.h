@@ -2,15 +2,14 @@
 #ifndef GRAPHITTI_RELATIONAL_TABLE_H_
 #define GRAPHITTI_RELATIONAL_TABLE_H_
 
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/predicate.h"
 #include "relational/schema.h"
 #include "relational/value.h"
+#include "util/persistent.h"
 #include "util/result.h"
 
 namespace graphitti {
@@ -23,13 +22,22 @@ enum class IndexKind { kHash, kOrdered };
 /// A single-table storage unit: slotted row heap + optional secondary
 /// indexes. Rows are addressed by stable RowIds (slot numbers); deleted
 /// slots are tombstoned and recycled by Vacuum().
+///
+/// A persistent value (util/persistent.h): rows are shared immutable records
+/// in a chunked slot vector and hash-index postings are chunked lists in a
+/// hash trie, so copying a table is O(number of indexes) and an insert
+/// path-copies O(log n) chunks. Ordered indexes are copied whole on the
+/// first write after a copy.
 class Table {
  public:
   Table(std::string name, Schema schema)
       : name_(std::move(name)), schema_(std::move(schema)) {}
 
-  Table(const Table&) = delete;
-  Table& operator=(const Table&) = delete;
+  /// Copies share every row and index chunk.
+  Table(const Table&) = default;
+  Table& operator=(const Table&) = default;
+  Table(Table&&) = default;
+  Table& operator=(Table&&) = default;
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -60,9 +68,11 @@ class Table {
   /// Calls fn(RowId, const Row&) for every live row.
   template <typename F>
   void Scan(F&& fn) const {
-    for (RowId id = 0; id < rows_.size(); ++id) {
-      if (live_[id]) fn(id, rows_[id]);
-    }
+    rows_.ForEachRun([&](size_t first, const RowPtr* run, size_t n) {
+      for (size_t k = 0; k < n; ++k) {
+        if (run[k] != nullptr) fn(static_cast<RowId>(first + k), *run[k]);
+      }
+    });
   }
 
   /// Creates a secondary index on `column`. AlreadyExists if present.
@@ -89,21 +99,23 @@ class Table {
   /// safe when no external component holds row references.
   void Vacuum();
 
-  /// Deep copy (rows, liveness, secondary indexes) for copy-on-write
-  /// version publication (util/epoch.h).
+  /// A copy sharing every row and index chunk with this table.
   std::unique_ptr<Table> Clone() const;
 
   std::string ToString() const;
 
  private:
+  using RowPtr = std::shared_ptr<const Row>;
+
   struct Index {
     IndexKind kind;
     int column = -1;
     // Exactly one of these is populated, per kind.
-    std::unordered_map<Value, std::vector<RowId>, ValueHash> hash;
-    std::multimap<Value, RowId> ordered;
+    util::HashTrie<Value, util::ChunkedVector<RowId>, ValueHash> hash;
+    util::SortedChunks<Value, RowId> ordered;
   };
 
+  void AddToIndex(Index* index, RowId id, const Row& row);
   void IndexInsert(RowId id, const Row& row);
   void IndexRemove(RowId id, const Row& row);
 
@@ -113,10 +125,10 @@ class Table {
 
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
-  std::vector<bool> live_;
+  util::ChunkedVector<RowPtr> rows_;  // null = deleted
   size_t live_count_ = 0;
-  std::vector<std::unique_ptr<Index>> indexes_;
+  std::vector<Index> indexes_;
+  util::EditOwner owner_;
 };
 
 }  // namespace relational

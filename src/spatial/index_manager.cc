@@ -5,20 +5,16 @@ namespace spatial {
 
 IntervalTree* IndexManager::GetOrCreateIntervalTree(std::string_view domain) {
   auto it = interval_trees_.find(domain);
-  if (it != interval_trees_.end()) return it->second.get();
-  auto tree = std::make_unique<IntervalTree>();
-  IntervalTree* ptr = tree.get();
-  interval_trees_.emplace(std::string(domain), std::move(tree));
-  return ptr;
+  if (it == interval_trees_.end()) {
+    it = interval_trees_.emplace(std::string(domain), IntervalTree()).first;
+  }
+  return &it->second;
 }
 
 RTree* IndexManager::GetOrCreateRTree(std::string_view canonical, int dims) {
   auto it = rtrees_.find(canonical);
-  if (it != rtrees_.end()) return it->second.get();
-  auto tree = std::make_unique<RTree>(dims);
-  RTree* ptr = tree.get();
-  rtrees_.emplace(std::string(canonical), std::move(tree));
-  return ptr;
+  if (it == rtrees_.end()) it = rtrees_.emplace(std::string(canonical), RTree(dims)).first;
+  return &it->second;
 }
 
 util::Status IndexManager::AddInterval(std::string_view domain, const Interval& interval,
@@ -33,8 +29,8 @@ util::Status IndexManager::RemoveInterval(std::string_view domain, const Interva
   if (it == interval_trees_.end()) {
     return util::Status::NotFound("no interval domain '" + std::string(domain) + "'");
   }
-  GRAPHITTI_RETURN_NOT_OK(it->second->Erase(interval, id));
-  if (it->second->empty()) interval_trees_.erase(it);
+  GRAPHITTI_RETURN_NOT_OK(it->second.Erase(interval, id));
+  if (it->second.empty()) interval_trees_.erase(it);
   return util::Status::OK();
 }
 
@@ -44,11 +40,11 @@ util::Status IndexManager::BulkLoadIntervals(std::string_view domain,
   if (domain.empty()) return util::Status::InvalidArgument("empty interval domain");
   auto it = interval_trees_.find(domain);
   if (it != interval_trees_.end() && small_batch_factor_ != 0 &&
-      entries.size() * small_batch_factor_ <= it->second->size()) {
+      entries.size() * small_batch_factor_ <= it->second.size()) {
     // Small batch against a large tree: per-entry inserts beat a full
     // merge-rebuild. Roll back on failure so the tree stays untouched,
     // matching the rebuild path's all-or-nothing contract.
-    IntervalTree* tree = it->second.get();
+    IntervalTree* tree = &it->second;
     for (size_t i = 0; i < entries.size(); ++i) {
       util::Status s = tree->Insert(entries[i].interval, entries[i].id);
       if (!s.ok()) {
@@ -60,20 +56,15 @@ util::Status IndexManager::BulkLoadIntervals(std::string_view domain,
     }
     return util::Status::OK();
   }
-  if (it != interval_trees_.end() && !it->second->empty()) {
+  if (it != interval_trees_.end() && !it->second.empty()) {
     // Merge-rebuild: drain the existing tree and pack old + new entries in
     // one build. BulkLoad sorts everything anyway, so draining in tree
     // order costs nothing extra.
-    entries.reserve(entries.size() + it->second->size());
-    it->second->ForEach([&](const IntervalEntry& e) { entries.push_back(e); });
+    entries.reserve(entries.size() + it->second.size());
+    it->second.ForEach([&](const IntervalEntry& e) { entries.push_back(e); });
   }
   GRAPHITTI_ASSIGN_OR_RETURN(IntervalTree tree, IntervalTree::BulkLoad(std::move(entries)));
-  if (it != interval_trees_.end()) {
-    *it->second = std::move(tree);
-  } else {
-    interval_trees_.emplace(std::string(domain),
-                            std::make_unique<IntervalTree>(std::move(tree)));
-  }
+  *GetOrCreateIntervalTree(domain) = std::move(tree);
   return util::Status::OK();
 }
 
@@ -81,7 +72,7 @@ std::vector<IntervalEntry> IndexManager::QueryIntervals(std::string_view domain,
                                                         const Interval& window) const {
   auto it = interval_trees_.find(domain);
   if (it == interval_trees_.end()) return {};
-  return it->second->Window(window);
+  return it->second.Window(window);
 }
 
 void IndexManager::ForEachInterval(
@@ -89,19 +80,19 @@ void IndexManager::ForEachInterval(
     const std::function<void(const IntervalEntry&)>& fn) const {
   auto it = interval_trees_.find(domain);
   if (it == interval_trees_.end()) return;
-  it->second->ForEachOverlap(window, fn);
+  it->second.ForEachOverlap(window, fn);
 }
 
 std::optional<IntervalEntry> IndexManager::NextInterval(std::string_view domain,
                                                         int64_t position) const {
   auto it = interval_trees_.find(domain);
   if (it == interval_trees_.end()) return std::nullopt;
-  return it->second->NextAfter(position);
+  return it->second.NextAfter(position);
 }
 
 const IntervalTree* IndexManager::GetIntervalTree(std::string_view domain) const {
   auto it = interval_trees_.find(domain);
-  return it == interval_trees_.end() ? nullptr : it->second.get();
+  return it == interval_trees_.end() ? nullptr : &it->second;
 }
 
 util::Status IndexManager::AddRegion(std::string_view system, const Rect& local_rect,
@@ -118,8 +109,8 @@ util::Status IndexManager::RemoveRegion(std::string_view system, const Rect& loc
   if (it == rtrees_.end()) {
     return util::Status::NotFound("no region index for system '" + canonical.first + "'");
   }
-  GRAPHITTI_RETURN_NOT_OK(it->second->Erase(canonical.second, id));
-  if (it->second->empty()) rtrees_.erase(it);
+  GRAPHITTI_RETURN_NOT_OK(it->second.Erase(canonical.second, id));
+  if (it->second.empty()) rtrees_.erase(it);
   return util::Status::OK();
 }
 
@@ -139,10 +130,10 @@ util::Status IndexManager::BulkLoadRegions(std::string_view system,
   }
   auto it = rtrees_.find(cs.canonical);
   if (it != rtrees_.end() && small_batch_factor_ != 0 &&
-      entries.size() * small_batch_factor_ <= it->second->size()) {
+      entries.size() * small_batch_factor_ <= it->second.size()) {
     // Small batch vs. large canonical tree: per-entry inserts with
     // rollback (entries are already canonicalized and validated above).
-    RTree* tree = it->second.get();
+    RTree* tree = &it->second;
     for (size_t i = 0; i < entries.size(); ++i) {
       util::Status s = tree->Insert(entries[i].rect, entries[i].id);
       if (!s.ok()) {
@@ -154,17 +145,17 @@ util::Status IndexManager::BulkLoadRegions(std::string_view system,
     }
     return util::Status::OK();
   }
-  if (it != rtrees_.end() && !it->second->empty()) {
+  if (it != rtrees_.end() && !it->second.empty()) {
     // Merge-rebuild: drain the existing canonical tree into the batch and
     // rebuild once via STR.
-    entries.reserve(entries.size() + it->second->size());
-    it->second->ForEach([&](const RTreeEntry& e) { entries.push_back(e); });
+    entries.reserve(entries.size() + it->second.size());
+    it->second.ForEach([&](const RTreeEntry& e) { entries.push_back(e); });
   }
   GRAPHITTI_ASSIGN_OR_RETURN(RTree tree, RTree::BulkLoad(std::move(entries), cs.dims));
   if (it != rtrees_.end()) {
-    *it->second = std::move(tree);
+    it->second = std::move(tree);
   } else {
-    rtrees_.emplace(cs.canonical, std::make_unique<RTree>(std::move(tree)));
+    rtrees_.emplace(cs.canonical, std::move(tree));
   }
   return util::Status::OK();
 }
@@ -174,7 +165,7 @@ util::Result<std::vector<RTreeEntry>> IndexManager::QueryRegions(
   GRAPHITTI_ASSIGN_OR_RETURN(auto canonical, coord_systems_.ToCanonical(system, local_window));
   auto it = rtrees_.find(canonical.first);
   if (it == rtrees_.end()) return std::vector<RTreeEntry>{};
-  return it->second->Window(canonical.second);
+  return it->second.Window(canonical.second);
 }
 
 util::Status IndexManager::ForEachRegion(
@@ -183,24 +174,24 @@ util::Status IndexManager::ForEachRegion(
   GRAPHITTI_ASSIGN_OR_RETURN(auto canonical, coord_systems_.ToCanonical(system, local_window));
   auto it = rtrees_.find(canonical.first);
   if (it == rtrees_.end()) return util::Status::OK();
-  it->second->ForEachOverlap(canonical.second, fn);
+  it->second.ForEachOverlap(canonical.second, fn);
   return util::Status::OK();
 }
 
 const RTree* IndexManager::GetRTree(std::string_view canonical_system) const {
   auto it = rtrees_.find(canonical_system);
-  return it == rtrees_.end() ? nullptr : it->second.get();
+  return it == rtrees_.end() ? nullptr : &it->second;
 }
 
 size_t IndexManager::total_interval_entries() const {
   size_t n = 0;
-  for (const auto& [_, tree] : interval_trees_) n += tree->size();
+  for (const auto& [_, tree] : interval_trees_) n += tree.size();
   return n;
 }
 
 size_t IndexManager::total_region_entries() const {
   size_t n = 0;
-  for (const auto& [_, tree] : rtrees_) n += tree->size();
+  for (const auto& [_, tree] : rtrees_) n += tree.size();
   return n;
 }
 
@@ -218,19 +209,7 @@ std::vector<std::string> IndexManager::RegionSystems() const {
   return out;
 }
 
-IndexManager IndexManager::Clone() const {
-  IndexManager copy;
-  copy.coord_systems_ = coord_systems_;
-  copy.small_batch_factor_ = small_batch_factor_;
-  for (const auto& [domain, tree] : interval_trees_) {
-    copy.interval_trees_.emplace(domain,
-                                 std::make_unique<IntervalTree>(tree->Clone()));
-  }
-  for (const auto& [system, tree] : rtrees_) {
-    copy.rtrees_.emplace(system, std::make_unique<RTree>(tree->Clone()));
-  }
-  return copy;
-}
+IndexManager IndexManager::Clone() const { return IndexManager(*this); }
 
 }  // namespace spatial
 }  // namespace graphitti

@@ -24,13 +24,14 @@ namespace spatial {
 class IndexManager {
  public:
   IndexManager() = default;
-  IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
   IndexManager(IndexManager&&) = default;
   IndexManager& operator=(IndexManager&&) = default;
 
-  /// Deep copy of every tree + the coordinate-system registry for
-  /// copy-on-write version publication (util/epoch.h).
+  /// A copy sharing every per-domain tree with this manager: O(number of
+  /// domains) plus the coordinate-system registry. A later mutation
+  /// path-copies only the nodes it touches in the one tree it touches
+  /// (util/persistent.h).
   IndexManager Clone() const;
 
   /// Coordinate systems used to canonicalize region domains.
@@ -125,14 +126,16 @@ class IndexManager {
   std::vector<std::string> RegionSystems() const;
 
  private:
+  IndexManager(const IndexManager&) = default;
+
   IntervalTree* GetOrCreateIntervalTree(std::string_view domain);
   RTree* GetOrCreateRTree(std::string_view canonical, int dims);
 
   CoordinateSystemRegistry coord_systems_;
   // lint: allow-map(per-domain registry: few domains, lookup is cold path)
-  std::map<std::string, std::unique_ptr<IntervalTree>, std::less<>> interval_trees_;
+  std::map<std::string, IntervalTree, std::less<>> interval_trees_;
   // lint: allow-map(per-domain registry: few domains, lookup is cold path)
-  std::map<std::string, std::unique_ptr<RTree>, std::less<>> rtrees_;
+  std::map<std::string, RTree, std::less<>> rtrees_;
   size_t small_batch_factor_ = 16;
 };
 

@@ -8,38 +8,23 @@ namespace spatial {
 struct IntervalTree::Node {
   Interval iv;
   uint64_t id;
-  Node* left = nullptr;
-  Node* right = nullptr;
+  NodePtr left;
+  NodePtr right;
   int height = 1;
   int64_t max_hi;
+  util::EditToken edit;
 
-  Node(const Interval& iv_in, uint64_t id_in) : iv(iv_in), id(id_in), max_hi(iv_in.hi) {}
+  Node(const Interval& iv_in, uint64_t id_in, util::EditToken edit_in)
+      : iv(iv_in), id(id_in), max_hi(iv_in.hi), edit(edit_in) {}
 };
 
-IntervalTree::~IntervalTree() { Destroy(root_); }
-
-IntervalTree::IntervalTree(IntervalTree&& other) noexcept
-    : root_(other.root_), size_(other.size_) {
-  other.root_ = nullptr;
-  other.size_ = 0;
-}
-
-IntervalTree& IntervalTree::operator=(IntervalTree&& other) noexcept {
-  if (this != &other) {
-    Destroy(root_);
-    root_ = other.root_;
-    size_ = other.size_;
-    other.root_ = nullptr;
-    other.size_ = 0;
+IntervalTree::Node* IntervalTree::Own(NodePtr* slot, util::EditToken token) {
+  if ((*slot)->edit != token) {
+    auto copy = std::make_shared<Node>(**slot);
+    copy->edit = token;
+    *slot = std::move(copy);
   }
-  return *this;
-}
-
-void IntervalTree::Destroy(Node* node) {
-  if (node == nullptr) return;
-  Destroy(node->left);
-  Destroy(node->right);
-  delete node;
+  return slot->get();
 }
 
 int IntervalTree::Height(const Node* n) { return n == nullptr ? 0 : n->height; }
@@ -49,44 +34,51 @@ int64_t IntervalTree::MaxHi(const Node* n) {
 }
 
 void IntervalTree::Pull(Node* n) {
-  n->height = 1 + std::max(Height(n->left), Height(n->right));
-  n->max_hi = std::max({n->iv.hi, MaxHi(n->left), MaxHi(n->right)});
+  n->height = 1 + std::max(Height(n->left.get()), Height(n->right.get()));
+  n->max_hi = std::max({n->iv.hi, MaxHi(n->left.get()), MaxHi(n->right.get())});
 }
 
-IntervalTree::Node* IntervalTree::RotateLeft(Node* n) {
-  Node* r = n->right;
-  n->right = r->left;
-  r->left = n;
-  Pull(n);
-  Pull(r);
-  return r;
+// Rotations and rebalancing take the (already owned) slot of the subtree
+// root and own every other node they rewrite.
+void IntervalTree::RotateLeft(NodePtr* slot, util::EditToken token) {
+  NodePtr n = std::move(*slot);
+  Own(&n->right, token);
+  NodePtr r = std::move(n->right);
+  n->right = std::move(r->left);
+  Pull(n.get());
+  r->left = std::move(n);
+  Pull(r.get());
+  *slot = std::move(r);
 }
 
-IntervalTree::Node* IntervalTree::RotateRight(Node* n) {
-  Node* l = n->left;
-  n->left = l->right;
-  l->right = n;
-  Pull(n);
-  Pull(l);
-  return l;
+void IntervalTree::RotateRight(NodePtr* slot, util::EditToken token) {
+  NodePtr n = std::move(*slot);
+  Own(&n->left, token);
+  NodePtr l = std::move(n->left);
+  n->left = std::move(l->right);
+  Pull(n.get());
+  l->right = std::move(n);
+  Pull(l.get());
+  *slot = std::move(l);
 }
 
-IntervalTree::Node* IntervalTree::Rebalance(Node* n) {
+void IntervalTree::Rebalance(NodePtr* slot, util::EditToken token) {
+  Node* n = slot->get();
   Pull(n);
-  int balance = Height(n->left) - Height(n->right);
+  int balance = Height(n->left.get()) - Height(n->right.get());
   if (balance > 1) {
-    if (Height(n->left->left) < Height(n->left->right)) {
-      n->left = RotateLeft(n->left);
+    if (Height(n->left->left.get()) < Height(n->left->right.get())) {
+      Own(&n->left, token);
+      RotateLeft(&n->left, token);
     }
-    return RotateRight(n);
-  }
-  if (balance < -1) {
-    if (Height(n->right->right) < Height(n->right->left)) {
-      n->right = RotateRight(n->right);
+    RotateRight(slot, token);
+  } else if (balance < -1) {
+    if (Height(n->right->right.get()) < Height(n->right->left.get())) {
+      Own(&n->right, token);
+      RotateRight(&n->right, token);
     }
-    return RotateLeft(n);
+    RotateLeft(slot, token);
   }
-  return n;
 }
 
 int IntervalTree::CompareKey(const Interval& a, uint64_t aid, const Node* n) {
@@ -118,18 +110,19 @@ util::Result<IntervalTree> IntervalTree::BulkLoad(std::vector<IntervalEntry> ent
   // Recursive median build; Pull fixes height and max-hi bottom-up.
   struct Builder {
     const std::vector<IntervalEntry>& entries;
-    Node* Build(size_t lo, size_t hi) {  // [lo, hi)
+    util::EditToken token;
+    NodePtr Build(size_t lo, size_t hi) {  // [lo, hi)
       if (lo >= hi) return nullptr;
       size_t mid = lo + (hi - lo) / 2;
-      Node* node = new Node(entries[mid].interval, entries[mid].id);
+      auto node = std::make_shared<Node>(entries[mid].interval, entries[mid].id, token);
       node->left = Build(lo, mid);
       node->right = Build(mid + 1, hi);
-      Pull(node);
+      Pull(node.get());
       return node;
     }
   };
   IntervalTree tree;
-  tree.root_ = Builder{entries}.Build(0, entries.size());
+  tree.root_ = Builder{entries, tree.owner_.Get()}.Build(0, entries.size());
   tree.size_ = entries.size();
   return tree;
 }
@@ -138,85 +131,92 @@ util::Status IntervalTree::Insert(const Interval& interval, uint64_t id) {
   if (!interval.valid()) {
     return util::Status::InvalidArgument("invalid interval " + interval.ToString());
   }
-  // Iterative descent recording the child-link slot at each visited node, so
-  // the commit path (ingest) never recurses — adversarial insertion orders
+  if (Contains(interval, id)) {
+    return util::Status::AlreadyExists("interval " + interval.ToString() + " id " +
+                                       std::to_string(id) + " already present");
+  }
+  // Iterative descent recording the child-link slot at each visited node
+  // (owning each: this is the path a persistent insert copies), so the
+  // commit path (ingest) never recurses — adversarial insertion orders
   // cannot grow the stack. An AVL tree of 2^64 keys is at most ~92 levels
   // deep; 128 slots cover it with margin.
+  const util::EditToken token = owner_.Get();
   constexpr int kMaxDepth = 128;
-  Node** slots[kMaxDepth];
+  NodePtr* slots[kMaxDepth];
   int depth = 0;
-  Node** slot = &root_;
+  NodePtr* slot = &root_;
   while (*slot != nullptr) {
-    int cmp = CompareKey(interval, id, *slot);
-    if (cmp == 0) {
-      return util::Status::AlreadyExists("interval " + interval.ToString() + " id " +
-                                         std::to_string(id) + " already present");
-    }
+    Node* n = Own(slot, token);
     slots[depth++] = slot;
-    slot = cmp < 0 ? &(*slot)->left : &(*slot)->right;
+    slot = CompareKey(interval, id, n) < 0 ? &n->left : &n->right;
   }
-  *slot = new Node(interval, id);
+  *slot = std::make_shared<Node>(interval, id, token);
   ++size_;
   // Explicit rebalancing path: walk the recorded slots bottom-up; a rotation
   // rewrites the parent's child link through the saved slot. Once a level
   // keeps its root, height AND max-hi, every ancestor's Pull inputs are
-  // unchanged, so the walk stops early — a win the recursive form (which
-  // always re-Pulled the full path) could not have.
+  // unchanged, so the walk stops early.
   for (int i = depth - 1; i >= 0; --i) {
-    Node* n = *slots[i];
+    Node* n = slots[i]->get();
     int old_height = n->height;
     int64_t old_max_hi = n->max_hi;
-    Node* r = Rebalance(n);
-    *slots[i] = r;
-    if (r == n && n->height == old_height && n->max_hi == old_max_hi) break;
+    Rebalance(slots[i], token);
+    if (slots[i]->get() == n && n->height == old_height && n->max_hi == old_max_hi) break;
   }
   return util::Status::OK();
 }
 
-IntervalTree::Node* IntervalTree::PopMin(Node* node, Node** min_out) {
-  if (node->left == nullptr) {
-    *min_out = node;
-    return node->right;
+bool IntervalTree::Contains(const Interval& interval, uint64_t id) const {
+  const Node* node = root_.get();
+  while (node != nullptr) {
+    int cmp = CompareKey(interval, id, node);
+    if (cmp == 0) return true;
+    node = cmp < 0 ? node->left.get() : node->right.get();
   }
-  node->left = PopMin(node->left, min_out);
-  return Rebalance(node);
+  return false;
 }
 
-IntervalTree::Node* IntervalTree::EraseRec(Node* node, const Interval& interval,
-                                           uint64_t id, bool* erased) {
-  if (node == nullptr) {
-    *erased = false;
-    return nullptr;
+void IntervalTree::PopMin(NodePtr* slot, NodePtr* min_out, util::EditToken token) {
+  Node* node = Own(slot, token);
+  if (node->left == nullptr) {
+    NodePtr right = std::move(node->right);
+    *min_out = std::move(*slot);
+    *slot = std::move(right);
+    return;
   }
+  PopMin(&node->left, min_out, token);
+  Rebalance(slot, token);
+}
+
+void IntervalTree::EraseRec(NodePtr* slot, const Interval& interval, uint64_t id,
+                            util::EditToken token) {
+  Node* node = Own(slot, token);
   int cmp = CompareKey(interval, id, node);
   if (cmp < 0) {
-    node->left = EraseRec(node->left, interval, id, erased);
+    EraseRec(&node->left, interval, id, token);
   } else if (cmp > 0) {
-    node->right = EraseRec(node->right, interval, id, erased);
+    EraseRec(&node->right, interval, id, token);
   } else {
-    *erased = true;
     if (node->left == nullptr || node->right == nullptr) {
-      Node* child = node->left != nullptr ? node->left : node->right;
-      delete node;
-      return child;  // child is AVL-balanced already
+      NodePtr child = node->left != nullptr ? std::move(node->left) : std::move(node->right);
+      *slot = std::move(child);  // child is AVL-balanced already
+      return;
     }
-    Node* successor = nullptr;
-    Node* new_right = PopMin(node->right, &successor);
-    successor->left = node->left;
-    successor->right = new_right;
-    delete node;
-    return Rebalance(successor);
+    NodePtr successor;
+    PopMin(&node->right, &successor, token);
+    successor->left = std::move(node->left);
+    successor->right = std::move(node->right);
+    *slot = std::move(successor);
   }
-  return Rebalance(node);
+  Rebalance(slot, token);
 }
 
 util::Status IntervalTree::Erase(const Interval& interval, uint64_t id) {
-  bool erased = false;
-  root_ = EraseRec(root_, interval, id, &erased);
-  if (!erased) {
+  if (!Contains(interval, id)) {
     return util::Status::NotFound("interval " + interval.ToString() + " id " +
                                   std::to_string(id) + " not found");
   }
+  EraseRec(&root_, interval, id, owner_.Get());
   --size_;
   return util::Status::OK();
 }
@@ -232,12 +232,12 @@ void IntervalTree::ForEachOverlap(
     const std::function<void(const IntervalEntry&)>& fn;
     void Walk(const Node* node) {
       if (node == nullptr || MaxHi(node) < window.lo) return;
-      Walk(node->left);
+      Walk(node->left.get());
       if (node->iv.Overlaps(window)) fn({node->iv, node->id});
-      if (node->iv.lo <= window.hi) Walk(node->right);
+      if (node->iv.lo <= window.hi) Walk(node->right.get());
     }
   };
-  Walker{window, fn}.Walk(root_);
+  Walker{window, fn}.Walk(root_.get());
 }
 
 std::vector<IntervalEntry> IntervalTree::Window(const Interval& window) const {
@@ -250,12 +250,12 @@ std::vector<IntervalEntry> IntervalTree::Window(const Interval& window) const {
     std::vector<IntervalEntry>* out;
     void Walk(const Node* node) {
       if (node == nullptr || MaxHi(node) < window.lo) return;
-      Walk(node->left);
+      Walk(node->left.get());
       if (node->iv.Overlaps(window)) out->push_back({node->iv, node->id});
-      if (node->iv.lo <= window.hi) Walk(node->right);
+      if (node->iv.lo <= window.hi) Walk(node->right.get());
     }
   };
-  Walker{window, &out}.Walk(root_);
+  Walker{window, &out}.Walk(root_.get());
   return out;
 }
 
@@ -264,14 +264,14 @@ std::vector<IntervalEntry> IntervalTree::Stab(int64_t point) const {
 }
 
 std::optional<IntervalEntry> IntervalTree::NextAfter(int64_t position) const {
-  const Node* node = root_;
+  const Node* node = root_.get();
   const Node* best = nullptr;
   while (node != nullptr) {
     if (node->iv.lo > position) {
       best = node;  // candidate; anything smaller is in the left subtree
-      node = node->left;
+      node = node->left.get();
     } else {
-      node = node->right;
+      node = node->right.get();
     }
   }
   if (best == nullptr) return std::nullopt;
@@ -279,9 +279,9 @@ std::optional<IntervalEntry> IntervalTree::NextAfter(int64_t position) const {
 }
 
 std::optional<IntervalEntry> IntervalTree::First() const {
-  const Node* node = root_;
+  const Node* node = root_.get();
   if (node == nullptr) return std::nullopt;
-  while (node->left != nullptr) node = node->left;
+  while (node->left != nullptr) node = node->left.get();
   return IntervalEntry{node->iv, node->id};
 }
 
@@ -290,15 +290,15 @@ void IntervalTree::ForEach(const std::function<void(const IntervalEntry&)>& fn) 
     const std::function<void(const IntervalEntry&)>& fn;
     void Walk(const Node* node) {
       if (node == nullptr) return;
-      Walk(node->left);
+      Walk(node->left.get());
       fn({node->iv, node->id});
-      Walk(node->right);
+      Walk(node->right.get());
     }
   };
-  Walker{fn}.Walk(root_);
+  Walker{fn}.Walk(root_.get());
 }
 
-int IntervalTree::height() const { return Height(root_); }
+int IntervalTree::height() const { return Height(root_.get()); }
 
 bool IntervalTree::CheckInvariants() const {
   struct Checker {
@@ -308,12 +308,12 @@ bool IntervalTree::CheckInvariants() const {
 
     std::pair<int, int64_t> Walk(const Node* node) {
       if (node == nullptr) return {0, INT64_MIN};
-      auto [lh, lmax] = Walk(node->left);
+      auto [lh, lmax] = Walk(node->left.get());
       // In-order key monotonicity.
       if (prev != nullptr && CompareKey(prev->iv, prev->id, node) >= 0) ok = false;
       prev = node;
       ++count;
-      auto [rh, rmax] = Walk(node->right);
+      auto [rh, rmax] = Walk(node->right.get());
       int h = 1 + std::max(lh, rh);
       if (node->height != h) ok = false;
       if (std::abs(lh - rh) > 1) ok = false;
@@ -323,27 +323,11 @@ bool IntervalTree::CheckInvariants() const {
     }
   };
   Checker checker;
-  checker.Walk(root_);
+  checker.Walk(root_.get());
   return checker.ok && checker.count == size_;
 }
 
-IntervalTree IntervalTree::Clone() const {
-  struct Rec {
-    static Node* Copy(const Node* node) {
-      if (node == nullptr) return nullptr;
-      Node* copy = new Node(node->iv, node->id);
-      copy->height = node->height;
-      copy->max_hi = node->max_hi;
-      copy->left = Copy(node->left);
-      copy->right = Copy(node->right);
-      return copy;
-    }
-  };
-  IntervalTree copy;
-  copy.root_ = Rec::Copy(root_);
-  copy.size_ = size_;
-  return copy;
-}
+IntervalTree IntervalTree::Clone() const { return IntervalTree(*this); }
 
 }  // namespace spatial
 }  // namespace graphitti

@@ -10,9 +10,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "spatial/interval.h"
+#include "util/persistent.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -32,14 +34,25 @@ struct IntervalEntry {
 /// Self-balancing (AVL) interval tree keyed by (lo, hi, id) with subtree
 /// max-hi augmentation. Duplicate (interval, id) pairs are rejected;
 /// identical intervals with distinct ids are fine.
+///
+/// A persistent value: nodes are refcounted and shared between copies, and
+/// Insert/Erase path-copy the O(log n) nodes they rewrite (util/persistent.h).
 class IntervalTree {
  public:
   IntervalTree() = default;
-  ~IntervalTree();
-  IntervalTree(const IntervalTree&) = delete;
-  IntervalTree& operator=(const IntervalTree&) = delete;
-  IntervalTree(IntervalTree&& other) noexcept;
-  IntervalTree& operator=(IntervalTree&& other) noexcept;
+  /// Copies share every node (O(1)); see util/persistent.h.
+  IntervalTree(const IntervalTree&) = default;
+  IntervalTree& operator=(const IntervalTree&) = default;
+  IntervalTree(IntervalTree&& other) noexcept
+      : root_(std::move(other.root_)),
+        size_(std::exchange(other.size_, 0)),
+        owner_(std::move(other.owner_)) {}
+  IntervalTree& operator=(IntervalTree&& other) noexcept {
+    root_ = std::move(other.root_);
+    size_ = std::exchange(other.size_, 0);
+    owner_ = std::move(other.owner_);
+    return *this;
+  }
 
   /// Inserts; InvalidArgument when !interval.valid(), AlreadyExists on dup.
   util::Status Insert(const Interval& interval, uint64_t id);
@@ -80,26 +93,31 @@ class IntervalTree {
   /// Validates AVL balance, key order and max-hi augmentation (test hook).
   bool CheckInvariants() const;
 
-  /// Deep structural copy for copy-on-write version publication.
+  /// A copy sharing every node with this tree (O(1)).
   IntervalTree Clone() const;
 
  private:
   struct Node;
+  using NodePtr = std::shared_ptr<Node>;
 
+  /// `*slot` made editable under `token` (copied unless it owns it).
+  static Node* Own(NodePtr* slot, util::EditToken token);
   static int Height(const Node* n);
   static int64_t MaxHi(const Node* n);
   static void Pull(Node* n);
-  static Node* RotateLeft(Node* n);
-  static Node* RotateRight(Node* n);
-  static Node* Rebalance(Node* n);
+  static void RotateLeft(NodePtr* slot, util::EditToken token);
+  static void RotateRight(NodePtr* slot, util::EditToken token);
+  static void Rebalance(NodePtr* slot, util::EditToken token);
   static int CompareKey(const Interval& a, uint64_t aid, const Node* n);
 
-  Node* EraseRec(Node* node, const Interval& interval, uint64_t id, bool* erased);
-  static Node* PopMin(Node* node, Node** min_out);
-  static void Destroy(Node* node);
+  bool Contains(const Interval& interval, uint64_t id) const;
+  static void EraseRec(NodePtr* slot, const Interval& interval, uint64_t id,
+                       util::EditToken token);
+  static void PopMin(NodePtr* slot, NodePtr* min_out, util::EditToken token);
 
-  Node* root_ = nullptr;
+  NodePtr root_;
   size_t size_ = 0;
+  util::EditOwner owner_;
 };
 
 }  // namespace spatial

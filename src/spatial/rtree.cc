@@ -12,7 +12,16 @@ RTree::RTree(int dims, int max_entries)
     : dims_(dims),
       max_entries_(static_cast<size_t>(std::max(4, max_entries))),
       min_entries_(std::max<size_t>(2, max_entries_ / 2)),
-      root_(std::make_unique<Node>()) {}
+      root_(std::make_shared<Node>()) {}
+
+RTree::Node* RTree::Own(NodePtr* slot, util::EditToken token) {
+  if ((*slot)->edit != token) {
+    auto copy = std::make_shared<Node>(**slot);
+    copy->edit = token;
+    *slot = std::move(copy);
+  }
+  return slot->get();
+}
 
 Rect RTree::NodeBound(const Node& node) const {
   Rect bound;
@@ -42,7 +51,7 @@ namespace {
 /// Quadratic split (Guttman 1984): moves roughly half of `node`'s entries
 /// into a fresh sibling, minimizing total dead space.
 template <typename NodeT, typename EntryT>
-std::unique_ptr<NodeT> QuadraticSplit(NodeT* node, size_t min_entries) {
+std::shared_ptr<NodeT> QuadraticSplit(NodeT* node, size_t min_entries) {
   auto& entries = node->entries;
   const size_t n = entries.size();
 
@@ -61,8 +70,9 @@ std::unique_ptr<NodeT> QuadraticSplit(NodeT* node, size_t min_entries) {
     }
   }
 
-  auto sibling = std::make_unique<NodeT>();
+  auto sibling = std::make_shared<NodeT>();
   sibling->leaf = node->leaf;
+  sibling->edit = node->edit;
 
   std::vector<EntryT> pool;
   pool.reserve(n);
@@ -135,7 +145,7 @@ std::unique_ptr<NodeT> QuadraticSplit(NodeT* node, size_t min_entries) {
 
 }  // namespace
 
-void RTree::SplitNode(Node* node, std::unique_ptr<Node>* new_node_out) {
+void RTree::SplitNode(Node* node, NodePtr* new_node_out) {
   *new_node_out = QuadraticSplit<Node, NodeEntry>(node, min_entries_);
 }
 
@@ -170,6 +180,7 @@ util::Result<RTree> RTree::BulkLoad(std::vector<RTreeEntry> entries, int dims,
   if (entries.empty()) return tree;
 
   const size_t cap = tree.max_entries_;
+  const util::EditToken token = tree.owner_.Get();
 
   // Leaf level via STR: sort by x-center, slice, sort slices by y-center.
   auto center = [](const Rect& r, int axis) {
@@ -182,7 +193,7 @@ util::Result<RTree> RTree::BulkLoad(std::vector<RTreeEntry> entries, int dims,
   size_t n = entries.size();
   size_t num_leaves = (n + cap - 1) / cap;
   size_t slabs = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  std::vector<std::unique_ptr<Node>> level;
+  std::vector<NodePtr> level;
   size_t slab_cursor = 0;
   for (size_t s = 0; s < slabs; ++s) {
     // Even slab sizes keep every slab (hence every leaf) at/above min fill.
@@ -202,8 +213,9 @@ util::Result<RTree> RTree::BulkLoad(std::vector<RTreeEntry> entries, int dims,
     size_t cursor = begin;
     for (size_t gi = 0; gi < groups; ++gi) {
       size_t take = m / groups + (gi < m % groups ? 1 : 0);
-      auto leaf = std::make_unique<Node>();
+      auto leaf = std::make_shared<Node>();
       leaf->leaf = true;
+      leaf->edit = token;
       for (size_t j = 0; j < take; ++j, ++cursor) {
         NodeEntry ne;
         ne.rect = entries[cursor].rect;
@@ -217,17 +229,18 @@ util::Result<RTree> RTree::BulkLoad(std::vector<RTreeEntry> entries, int dims,
   // Pack upper levels until a single root remains.
   while (level.size() > 1) {
     std::sort(level.begin(), level.end(),
-              [&](const std::unique_ptr<Node>& a, const std::unique_ptr<Node>& b) {
+              [&](const NodePtr& a, const NodePtr& b) {
                 return center(tree.NodeBound(*a), 0) < center(tree.NodeBound(*b), 0);
               });
-    std::vector<std::unique_ptr<Node>> parents;
+    std::vector<NodePtr> parents;
     size_t m = level.size();
     size_t groups = (m + cap - 1) / cap;
     size_t cursor = 0;
     for (size_t gi = 0; gi < groups; ++gi) {
       size_t take = m / groups + (gi < m % groups ? 1 : 0);
-      auto parent = std::make_unique<Node>();
+      auto parent = std::make_shared<Node>();
       parent->leaf = false;
+      parent->edit = token;
       for (size_t j = 0; j < take; ++j, ++cursor) {
         NodeEntry ne;
         ne.rect = tree.NodeBound(*level[cursor]);
@@ -269,10 +282,13 @@ util::Status RTree::Insert(const Rect& rect, uint64_t id) {
 
 // Inserts `entry` whose subtree height is `target_depth` (0 for leaf
 // entries). Handles root splits.
+// Every node on the descent path is owned (copied unless this tree's token
+// stamped it) before it is modified.
 void RTree::ReinsertEntry(NodeEntry entry, int target_depth) {
+  const util::EditToken token = owner_.Get();
   // Recursive lambda: returns split sibling if the child overflowed.
-  std::function<std::unique_ptr<Node>(Node*, int)> insert_rec =
-      [&](Node* node, int node_height) -> std::unique_ptr<Node> {
+  std::function<NodePtr(Node*, int)> insert_rec = [&](Node* node,
+                                                      int node_height) -> NodePtr {
     if (node_height == target_depth + 1) {
       node->entries.push_back(std::move(entry));
     } else {
@@ -290,7 +306,7 @@ void RTree::ReinsertEntry(NodeEntry entry, int target_depth) {
         }
       }
       NodeEntry& chosen = node->entries[best];
-      std::unique_ptr<Node> split = insert_rec(chosen.child.get(), node_height - 1);
+      NodePtr split = insert_rec(Own(&chosen.child, token), node_height - 1);
       chosen.rect = NodeBound(*chosen.child);
       if (split != nullptr) {
         NodeEntry new_entry;
@@ -300,7 +316,7 @@ void RTree::ReinsertEntry(NodeEntry entry, int target_depth) {
       }
     }
     if (node->entries.size() > max_entries_) {
-      std::unique_ptr<Node> sibling;
+      NodePtr sibling;
       SplitNode(node, &sibling);
       return sibling;
     }
@@ -308,10 +324,11 @@ void RTree::ReinsertEntry(NodeEntry entry, int target_depth) {
   };
 
   int root_height = height();
-  std::unique_ptr<Node> split = insert_rec(root_.get(), root_height);
+  NodePtr split = insert_rec(Own(&root_, token), root_height);
   if (split != nullptr) {
-    auto new_root = std::make_unique<Node>();
+    auto new_root = std::make_shared<Node>();
     new_root->leaf = false;
+    new_root->edit = token;
     NodeEntry left;
     left.rect = NodeBound(*root_);
     left.child = std::move(root_);
@@ -335,6 +352,10 @@ util::Status RTree::Erase(const Rect& rect, uint64_t id) {
     int height;
   };
   std::vector<OrphanBatch> orphans;
+  // Path-copies every node the search descends into (an R-tree search may
+  // try several subtrees; the copies of the misses are identical and just
+  // replace the shared originals in this tree).
+  const util::EditToken token = owner_.Get();
 
   std::function<bool(Node*, int)> erase_rec = [&](Node* node, int node_height) -> bool {
     if (node->leaf) {
@@ -348,7 +369,7 @@ util::Status RTree::Erase(const Rect& rect, uint64_t id) {
     }
     for (auto it = node->entries.begin(); it != node->entries.end(); ++it) {
       if (!it->rect.Contains(rect)) continue;
-      if (erase_rec(it->child.get(), node_height - 1)) {
+      if (erase_rec(Own(&it->child, token), node_height - 1)) {
         if (it->child->entries.size() < min_entries_) {
           for (auto& e : it->child->entries) {
             orphans.push_back({std::move(e), node_height - 2});
@@ -363,8 +384,15 @@ util::Status RTree::Erase(const Rect& rect, uint64_t id) {
     return false;
   };
 
+  const std::vector<RTreeEntry> hits = Window(rect);
+  if (std::none_of(hits.begin(), hits.end(), [&](const RTreeEntry& e) {
+        return e.id == id && e.rect == rect;
+      })) {
+    return util::Status::NotFound("rect " + rect.ToString() + " id " + std::to_string(id) +
+                                  " not found");
+  }
   int root_height = height();
-  if (!erase_rec(root_.get(), root_height)) {
+  if (!erase_rec(Own(&root_, token), root_height)) {
     return util::Status::NotFound("rect " + rect.ToString() + " id " + std::to_string(id) +
                                   " not found");
   }
@@ -379,10 +407,11 @@ util::Status RTree::Erase(const Rect& rect, uint64_t id) {
 
   // Shrink the root while it is an internal node with a single child.
   while (!root_->leaf && root_->entries.size() == 1) {
-    root_ = std::move(root_->entries[0].child);
+    NodePtr child = root_->entries[0].child;
+    root_ = std::move(child);
   }
   if (!root_->leaf && root_->entries.empty()) {
-    root_ = std::make_unique<Node>();
+    root_ = std::make_shared<Node>();
   }
   return util::Status::OK();
 }
@@ -511,28 +540,7 @@ bool RTree::CheckInvariants() const {
   return ok;
 }
 
-RTree RTree::Clone() const {
-  struct Rec {
-    static std::unique_ptr<Node> Copy(const Node* node) {
-      if (node == nullptr) return nullptr;
-      auto copy = std::make_unique<Node>();
-      copy->leaf = node->leaf;
-      copy->entries.reserve(node->entries.size());
-      for (const NodeEntry& e : node->entries) {
-        NodeEntry ce;
-        ce.rect = e.rect;
-        ce.id = e.id;
-        ce.child = Copy(e.child.get());
-        copy->entries.push_back(std::move(ce));
-      }
-      return copy;
-    }
-  };
-  RTree copy(dims_, static_cast<int>(max_entries_));
-  copy.root_ = Rec::Copy(root_.get());
-  copy.size_ = size_;
-  return copy;
-}
+RTree RTree::Clone() const { return RTree(*this); }
 
 }  // namespace spatial
 }  // namespace graphitti

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "spatial/rect.h"
+#include "util/persistent.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -25,13 +26,18 @@ struct RTreeEntry {
 
 /// Dynamic R-tree: insert/erase/window/containment/kNN. All stored rects
 /// must have the tree's dimensionality.
+///
+/// A persistent value: nodes are refcounted and shared between copies, and
+/// Insert/Erase path-copy the nodes they descend through
+/// (util/persistent.h).
 class RTree {
  public:
   /// `max_entries` is the node fan-out M (min fill is M/2, floor 2).
   explicit RTree(int dims = 2, int max_entries = 16);
   ~RTree() = default;
-  RTree(const RTree&) = delete;
-  RTree& operator=(const RTree&) = delete;
+  /// Copies share every node (O(1)); see util/persistent.h.
+  RTree(const RTree&) = default;
+  RTree& operator=(const RTree&) = default;
   RTree(RTree&&) = default;
   RTree& operator=(RTree&&) = default;
 
@@ -76,31 +82,37 @@ class RTree {
   /// uniformity (test hook).
   bool CheckInvariants() const;
 
-  /// Deep structural copy for copy-on-write version publication.
+  /// A copy sharing every node with this tree (O(1)).
   RTree Clone() const;
 
  private:
   struct Node;
+  using NodePtr = std::shared_ptr<Node>;
   struct NodeEntry {
     Rect rect;
-    std::unique_ptr<Node> child;  // internal entries
-    uint64_t id = 0;              // leaf entries
+    NodePtr child;    // internal entries
+    uint64_t id = 0;  // leaf entries
   };
   struct Node {
     bool leaf = true;
     std::vector<NodeEntry> entries;
+    util::EditToken edit = 0;
   };
 
+  /// `*slot` made editable under `token` (copied unless it owns it).
+  static Node* Own(NodePtr* slot, util::EditToken token);
+
   Rect NodeBound(const Node& node) const;
-  void SplitNode(Node* node, std::unique_ptr<Node>* new_node_out);
+  void SplitNode(Node* node, NodePtr* new_node_out);
   void ReinsertEntry(NodeEntry entry, int target_depth);
   int HeightRec(const Node* node) const;
 
   int dims_;
   size_t max_entries_;
   size_t min_entries_;
-  std::unique_ptr<Node> root_;
+  NodePtr root_;
   size_t size_ = 0;
+  util::EditOwner owner_;
 };
 
 }  // namespace spatial

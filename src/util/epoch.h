@@ -3,9 +3,10 @@
 //
 // The engine keeps its whole versioned state behind one atomic "current
 // version" pointer. Writers never mutate published state: they build the
-// next version off to the side (see core::Graphitti::AcquireScratch for
-// the cheap way to get one), then call Publish(), which installs it with
-// a single pointer swing under the manager's mutex. Readers call
+// next version off to the side (core::Graphitti::AcquireScratch: a copy
+// that shares every chunk with the current version, util/persistent.h),
+// then call Publish(), which installs it with a single pointer swing under
+// the manager's mutex. Readers call
 // PinCurrent() on entry and operate on the pinned version for as long as
 // the returned Pin lives — across a whole query, a paged result's
 // lifetime, or N intervening commits. A pinned version is immutable by
@@ -14,14 +15,16 @@
 // *reclamation* of old versions, never publication of new ones.
 //
 // Reclamation. Each version records how many pins it holds. When a
-// version is superseded and its pin count drains to zero it is either
-// destroyed or — for the *most recently* retired version only — parked as
-// a "recycle candidate" that the writer can adopt as scratch for the next
-// commit and catch up by replaying the ops logged since it was current
-// (op-replay standby; see graphitti.cc). Retiring a newer version evicts
-// the previous candidate, so at most one parked version exists and memory
-// is bounded by {current} + {parked standby} + {versions still pinned by
-// live readers}.
+// version is superseded and its pin count drains to zero it is retired,
+// on whichever thread dropped the last pin (or on the publishing thread
+// when nothing pinned it), and destroyed right there. Versions share
+// structure, so destroying one frees only the chunks no other live version
+// shares. Memory is bounded by {current} + {versions still pinned by live
+// readers}. One exception: a version retired by a pin drop on a thread
+// other than the last publisher is destroyed by the next Publish (or by
+// the manager's destructor) instead. Writers allocate versions, and a
+// reader freeing one would contend with the writer on its malloc arena;
+// such retirees add {retired since the last publish} to the bound.
 //
 // Contract notes:
 //  - The manager must be owned by a std::shared_ptr (the engine holds it
@@ -29,18 +32,20 @@
 //    long-lived query result keeps its snapshot valid even if the engine
 //    is destroyed first.
 //  - Pin is copyable (a copy re-pins the same version) and may be
-//    destroyed on any thread; destruction may delete the version inline.
-//  - Publish/TakeRecyclable are writer-side calls; callers serialize them
-//    externally (the engine's commit mutex).
-//  - Versions carry a caller-supplied monotonically increasing `tag`
-//    (the engine uses its op sequence number) so a recycled standby knows
-//    which logged ops it is missing.
+//    destroyed on any thread; on the last publisher's thread destruction
+//    may delete the version inline.
+//  - Publish is a writer-side call; callers serialize it externally (the
+//    engine's commit mutex).
+//  - live_versions() and oldest_pin_epoch_lag() are atomic mirrors kept
+//    under the mutex, so health probes read them without locking.
 #ifndef GRAPHITTI_UTIL_EPOCH_H_
 #define GRAPHITTI_UTIL_EPOCH_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "util/thread_annotations.h"
@@ -67,12 +72,8 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   // lock anyway — it is uncontended and keeps the walk provable.
   ~EpochManager() {
     MutexLock lock(mu_);
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->next;
-      delete n;
-      n = next;
-    }
+    DeleteChain(head_);
+    DeleteChain(retired_);
   }
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
@@ -125,74 +126,32 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
     return Pin(shared_from_this(), current_);
   }
 
-  /// Publish `state` as the new current version. `tag` is the caller's
-  /// op sequence number as of this state. Writer-side; externally
-  /// serialized. The superseded version becomes the (sole) recycle
-  /// candidate once its pins drain; the previous candidate, if any, is
-  /// released for deletion.
-  void Publish(std::unique_ptr<Versioned> state, uint64_t tag) {
+  /// Publish `state` as the new current version. Writer-side; externally
+  /// serialized. The superseded version is destroyed now if no pin holds
+  /// it, else when its last pin drops; versions retired on other threads
+  /// since the last Publish are destroyed here.
+  void Publish(std::unique_ptr<Versioned> state) {
     Node* dead = nullptr;
+    Node* retired = nullptr;
     {
       MutexLock lock(mu_);
       Node* node = new Node;
       node->state = std::move(state);
       node->epoch = ++epoch_;
-      node->tag = tag;
-      node->next = nullptr;
       node->prev = tail_;
       if (tail_ != nullptr) tail_->next = node;
       tail_ = node;
       if (head_ == nullptr) head_ = node;
       Node* old = current_;
       current_ = node;
-      if (old != nullptr) {
-        // The just-superseded version supplants any older candidate.
-        if (recycle_candidate_ != nullptr && recycle_candidate_ != old) {
-          Node* prev = recycle_candidate_;
-          prev->recyclable = false;
-          if (prev->pins == 0) dead = Detach(prev);
-        }
-        old->recyclable = true;
-        recycle_candidate_ = old;
-      }
+      publisher_ = std::this_thread::get_id();
+      ++live_;
+      if (old != nullptr && old->pins == 0) dead = Detach(old);
+      retired = std::exchange(retired_, nullptr);
+      UpdateStats();
     }
     delete dead;
-  }
-
-  /// Writer-side: if the most recently retired version has drained (no
-  /// pins), detach and return it for reuse as commit scratch, storing its
-  /// tag in *tag. Returns nullptr when no drained candidate exists (a
-  /// long reader still pins it, or it was already taken/evicted).
-  std::unique_ptr<Versioned> TakeRecyclable(uint64_t* tag) {
-    Node* taken = nullptr;
-    {
-      MutexLock lock(mu_);
-      Node* cand = recycle_candidate_;
-      if (cand == nullptr || cand->pins != 0) return nullptr;
-      recycle_candidate_ = nullptr;
-      taken = Detach(cand);
-    }
-    *tag = taken->tag;
-    std::unique_ptr<Versioned> state = std::move(taken->state);
-    delete taken;
-    return state;
-  }
-
-  /// Drop the recycle candidate (e.g. the op log it would need was
-  /// pruned, or direct substrate mutation made replay unsound). It is
-  /// deleted now if drained, or when its last pin drops.
-  void DropRecyclable() {
-    Node* dead = nullptr;
-    {
-      MutexLock lock(mu_);
-      Node* cand = recycle_candidate_;
-      recycle_candidate_ = nullptr;
-      if (cand != nullptr) {
-        cand->recyclable = false;
-        if (cand->pins == 0) dead = Detach(cand);
-      }
-    }
-    delete dead;
+    DeleteChain(retired);
   }
 
   /// The current version without pinning — writer-side only (the commit
@@ -208,22 +167,21 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
     return current_ != nullptr;
   }
 
-  /// Number of versions alive (current + pinned stragglers + parked
-  /// standby). Test/diagnostic surface for the reclamation invariants.
-  size_t live_versions() {
-    MutexLock lock(mu_);
-    size_t n = 0;
-    for (Node* node = head_; node != nullptr; node = node->next) n++;
-    return n;
+  /// Number of versions alive (current + pinned stragglers). Retired
+  /// versions awaiting a deferred free are not counted. Lock-free.
+  size_t live_versions() const { return live_versions_.load(std::memory_order_relaxed); }
+
+  /// Current epoch minus the epoch of the oldest version still pinned: how
+  /// many commits the slowest reader is behind (0 when only the current
+  /// version is pinned, or nothing is). Lock-free.
+  uint64_t oldest_pin_epoch_lag() const {
+    return pin_lag_.load(std::memory_order_relaxed);
   }
 
-  uint64_t current_epoch() {
-    MutexLock lock(mu_);
-    return epoch_;
-  }
+  uint64_t current_epoch() const { return current_epoch_.load(std::memory_order_relaxed); }
 
  private:
-  // Every mutable Node field (pins, recyclable, prev/next links) is
+  // Every mutable Node field (pins, prev/next links) is
   // guarded by the owning manager's mu_; that relation is not expressible
   // as a GUARDED_BY on the inner struct (a Node cannot name its manager),
   // so it is enforced one level up: every function that touches a Node
@@ -233,9 +191,7 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   struct Node {
     std::unique_ptr<Versioned> state;
     uint64_t epoch = 0;
-    uint64_t tag = 0;
     size_t pins = 0;
-    bool recyclable = false;
     Node* prev = nullptr;
     Node* next = nullptr;
   };
@@ -243,6 +199,7 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   void Ref(Node* node) {
     MutexLock lock(mu_);
     node->pins++;
+    UpdateStats();
   }
 
   void Unref(Node* node) {
@@ -251,17 +208,36 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
       MutexLock lock(mu_);
       assert(node->pins > 0);
       node->pins--;
-      // Reclaim on drain: superseded, not parked for recycling, no pins.
-      if (node->pins == 0 && node != current_ && !node->recyclable) {
+      // Reclaim on drain: superseded and no pins.
+      if (node->pins == 0 && node != current_) {
         dead = Detach(node);
+        if (publisher_ != std::this_thread::get_id()) {
+          dead->next = retired_;
+          retired_ = std::exchange(dead, nullptr);
+        }
       }
+      UpdateStats();
     }
     delete dead;
+  }
+
+  /// Refreshes the lock-free mirrors. Superseded versions stay listed only
+  /// while pinned, so the oldest pinned version is the list head unless
+  /// the head is an unpinned current version.
+  void UpdateStats() REQUIRES(mu_) {
+    live_versions_.store(live_, std::memory_order_relaxed);
+    current_epoch_.store(epoch_, std::memory_order_relaxed);
+    uint64_t lag = 0;
+    if (head_ != nullptr && (head_ != current_ || head_->pins > 0)) {
+      lag = epoch_ - head_->epoch;
+    }
+    pin_lag_.store(lag, std::memory_order_relaxed);
   }
 
   /// Unlink from the version list. Caller holds mu_ and deletes outside it
   /// (version destructors can be heavy — whole engine states).
   Node* Detach(Node* node) REQUIRES(mu_) {
+    --live_;
     if (node->prev != nullptr) node->prev->next = node->next;
     if (node->next != nullptr) node->next->prev = node->prev;
     if (head_ == node) head_ = node->next;
@@ -271,12 +247,22 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
     return node;
   }
 
+  /// Deletes `n` and every node after it on the next links.
+  static void DeleteChain(Node* n) {
+    while (n != nullptr) delete std::exchange(n, n->next);
+  }
+
   Mutex mu_;
   Node* head_ GUARDED_BY(mu_) = nullptr;  // oldest
   Node* tail_ GUARDED_BY(mu_) = nullptr;  // newest
   Node* current_ GUARDED_BY(mu_) = nullptr;
-  Node* recycle_candidate_ GUARDED_BY(mu_) = nullptr;
   uint64_t epoch_ GUARDED_BY(mu_) = 0;
+  size_t live_ GUARDED_BY(mu_) = 0;
+  std::thread::id publisher_ GUARDED_BY(mu_);  // thread of the last Publish
+  Node* retired_ GUARDED_BY(mu_) = nullptr;     // awaiting the next Publish
+  std::atomic<size_t> live_versions_{0};
+  std::atomic<uint64_t> current_epoch_{0};
+  std::atomic<uint64_t> pin_lag_{0};
 };
 
 using EpochPin = EpochManager::Pin;

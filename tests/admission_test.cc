@@ -238,6 +238,21 @@ TEST(EngineAdmission, ConfiguredEngineAdmitsAndHealthCountsIt) {
   EXPECT_FALSE(health.durable);
   EXPECT_EQ(health.admission.admitted, 2u);  // one commit + one query
   EXPECT_EQ(health.admission.rejected_queue_full, 0u);
+
+  // Version observability: the held result `q` pins the version after the
+  // first commit; two more commits put it two epochs behind the current
+  // one, and it keeps that version alive next to the current.
+  EXPECT_EQ(health.live_versions, 1u);  // q pins the current version
+  EXPECT_EQ(health.oldest_pin_epoch_lag, 0u);
+  ASSERT_TRUE(g.Commit(b).ok());
+  ASSERT_TRUE(g.Commit(b).ok());
+  health = g.Health();
+  EXPECT_EQ(health.live_versions, 2u);
+  EXPECT_EQ(health.oldest_pin_epoch_lag, 2u);
+  q->snapshot.reset();
+  health = g.Health();
+  EXPECT_EQ(health.live_versions, 1u);
+  EXPECT_EQ(health.oldest_pin_epoch_lag, 0u);
 }
 
 TEST(EngineAdmission, UnconfiguredEngineReportsZeroAdmissionTraffic) {

@@ -107,6 +107,55 @@ TEST(AGraphTest, RemoveNodeSwapCompactionKeepsAdjacencyCorrect) {
   EXPECT_EQ(g.num_edges(), 8u);
 }
 
+TEST(AGraphTest, SparseNodeIdsStayDistinct) {
+  AGraph g;
+  ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Content(100)).ok());
+  EXPECT_FALSE(g.HasNode(NodeRef::Content(33)));
+  ASSERT_TRUE(g.AddNode(NodeRef::Content(33)).ok());
+  ASSERT_TRUE(g.AddEdge(NodeRef::Content(1), NodeRef::Content(33), "a").ok());
+  ASSERT_TRUE(g.AddEdge(NodeRef::Content(33), NodeRef::Content(100), "b").ok());
+  // Swap-with-last puts the dense order out of id order.
+  ASSERT_TRUE(g.RemoveNode(NodeRef::Content(1)).ok());
+  EXPECT_FALSE(g.HasNode(NodeRef::Content(1)));
+  EXPECT_TRUE(g.HasNode(NodeRef::Content(33)));
+  EXPECT_TRUE(g.HasNode(NodeRef::Content(100)));
+  EXPECT_FALSE(g.HasNode(NodeRef::Content(68)));
+  auto back = AGraph::FromText(g.ToText());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ToText(), g.ToText());
+  EXPECT_EQ(back->num_nodes(), 2u);
+  EXPECT_TRUE(back->HasEdge(NodeRef::Content(33), NodeRef::Content(100), "b"));
+}
+
+TEST(AGraphTest, HubEdgeListsSurviveCloneAndRemoval) {
+  // A hub whose edge list spans several chunks; edits after a clone must
+  // not show through to the clone.
+  AGraph a;
+  ASSERT_TRUE(a.AddNode(NodeRef::Object(1)).ok());
+  for (uint64_t i = 1; i <= 100; ++i) {
+    ASSERT_TRUE(a.AddNode(NodeRef::Content(i)).ok());
+    ASSERT_TRUE(a.AddEdge(NodeRef::Content(i), NodeRef::Object(1), "marks").ok());
+  }
+  AGraph b = a.Clone();
+  const std::string before = b.ToText();
+  for (uint64_t i = 101; i <= 140; ++i) {
+    ASSERT_TRUE(a.AddNode(NodeRef::Content(i)).ok());
+    ASSERT_TRUE(a.AddEdge(NodeRef::Content(i), NodeRef::Object(1), "marks").ok());
+  }
+  for (uint64_t i = 5; i <= 140; i += 5) ASSERT_TRUE(a.RemoveNode(NodeRef::Content(i)).ok());
+  ASSERT_TRUE(a.RemoveEdge(NodeRef::Content(3), NodeRef::Object(1), "marks").ok());
+  EXPECT_EQ(a.InEdges(NodeRef::Object(1)).size(), 140u - 28u - 1u);
+  EXPECT_EQ(a.num_edges(), 140u - 28u - 1u);
+  EXPECT_FALSE(a.HasEdge(NodeRef::Content(3), NodeRef::Object(1), "marks"));
+  EXPECT_TRUE(a.HasEdge(NodeRef::Content(4), NodeRef::Object(1), "marks"));
+  EXPECT_EQ(b.ToText(), before);
+  EXPECT_EQ(b.InEdges(NodeRef::Object(1)).size(), 100u);
+  auto round = AGraph::FromText(a.ToText());
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->ToText(), a.ToText());
+}
+
 TEST(AGraphTest, NeighborsRespectDirectionAndLabel) {
   AGraph g;
   ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());

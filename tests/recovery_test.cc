@@ -125,6 +125,39 @@ TEST(RecoveryTest, CheckpointRoundTripsDeepState) {
   EXPECT_EQ(next, 41u);
 }
 
+TEST(RecoveryTest, SnapshotWithIdGapKeepsIdsDistinct) {
+  // Live ids {1..20, 100}: the restore fills id-indexed tables in
+  // ascending order with a gap of more than two chunks.
+  FaultInjectionEnv env;
+  std::string agraph_before;
+  {
+    auto g = MustOpen(&env);
+    for (int i = 1; i <= 100; ++i) CommitOne(g.get(), "note" + std::to_string(i));
+    for (annotation::AnnotationId id = 21; id < 100; ++id) {
+      ASSERT_TRUE(g->RemoveAnnotation(id).ok());
+    }
+    agraph_before = g->ExportAGraph();
+    ASSERT_TRUE(g->Checkpoint().ok());
+  }
+  auto g = MustOpen(&env);
+  EXPECT_EQ(g->Stats().num_annotations, 21u);
+  EXPECT_EQ(g->ExportAGraph(), agraph_before);
+  for (annotation::AnnotationId id = 21; id < 100; ++id) {
+    ASSERT_EQ(g->annotations().Get(id), nullptr) << id;
+  }
+  EXPECT_TRUE(g->RemoveAnnotation(40).IsNotFound());
+  for (annotation::AnnotationId id : {1, 8, 20, 100}) {
+    const annotation::Annotation* ann = g->annotations().Get(id);
+    ASSERT_NE(ann, nullptr) << id;
+    EXPECT_EQ(ann->dc.title, "note" + std::to_string(id));
+  }
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+  ASSERT_TRUE(g->RemoveAnnotation(8).ok());
+  EXPECT_EQ(g->annotations().Get(8), nullptr);
+  EXPECT_NE(g->annotations().Get(9), nullptr);
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
 TEST(RecoveryTest, SnapshotPlusWalTailRecovers) {
   FaultInjectionEnv env;
   annotation::AnnotationId pre = 0, post = 0;
@@ -313,6 +346,63 @@ TEST(RecoveryTest, CheckpointRightAfterOpenHydratesFirst) {
 }
 
 // --- Real-filesystem cases: legacy XML upgrade and LoadFrom auto-detect ---
+
+// Every byte read from disk is untrusted, even behind a valid CRC: a
+// snapshot whose referent count claims 0xFFFFFFFF entries must fail to
+// open (eager) or to hydrate (deferred) with a Status, never by throwing
+// length_error/bad_alloc from a reserve() sized by the corrupt count.
+TEST(RecoveryTest, CorruptSnapshotCountFailsWithStatus) {
+  FaultInjectionEnv env;
+  {
+    auto g = MustOpen(&env);
+    ASSERT_TRUE(g->Checkpoint().ok());  // empty store: body ends with the
+                                        // store's four trailing u64s
+  }
+  auto snap = persist::ReadSnapshotFile(env, SnapshotPath(1));
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  std::string body = snap->body;
+  ASSERT_GE(body.size(), 32u);
+  // [referent count][annotation count][next annotation id][next referent id]
+  const size_t referent_count = body.size() - 32;
+  const char corrupt[8] = {'\xff', '\xff', '\xff', '\xff', 0, 0, 0, 0};
+  body.replace(referent_count, 8, corrupt, 8);
+  ASSERT_TRUE(persist::WriteSnapshotFile(&env, SnapshotPath(1), 1, body).ok());
+
+  DurabilityOptions eager;
+  eager.env = &env;
+  eager.eager_restore = true;
+  auto opened = Graphitti::OpenDurable(kDir, eager);
+  EXPECT_FALSE(opened.ok());
+
+  DurabilityOptions deferred;
+  deferred.env = &env;
+  auto lazy = Graphitti::OpenDurable(kDir, deferred);
+  if (lazy.ok()) {
+    auto q = (*lazy)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"x\" }");
+    EXPECT_FALSE(q.ok());
+  }
+}
+
+// The same for a WAL commit-batch record whose entry count cannot fit in
+// its payload.
+TEST(RecoveryTest, CorruptWalBatchCountFailsWithStatus) {
+  FaultInjectionEnv env;
+  { auto g = MustOpen(&env); }
+  {
+    auto wal = persist::WalWriter::Open(&env, WalPath(0), 0, persist::WalOptions{});
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const char payload[4] = {'\xff', '\xff', '\xff', '\xff'};
+    ASSERT_TRUE((*wal)
+                    ->AppendRecord(persist::WalRecordType::kCommitBatch,
+                                   std::string_view(payload, 4))
+                    .ok());
+  }
+  DurabilityOptions eager;
+  eager.env = &env;
+  eager.eager_restore = true;
+  auto opened = Graphitti::OpenDurable(kDir, eager);
+  EXPECT_FALSE(opened.ok());
+}
 
 class RecoveryFsTest : public ::testing::Test {
  protected:
