@@ -138,8 +138,9 @@ struct ConnectOptions {
   util::Deadline deadline;
   /// Cooperative cancellation; same check sites as `deadline`, kCancelled.
   util::CancellationToken cancel;
-  /// Byte budget for this batch's BFS tree storage (record arrays + ring
-  /// order vectors across all trees). 0 = unlimited. Exceeding it makes
+  /// Byte budget for this batch's BFS tree storage (record pages, page
+  /// directories and ring order vectors across all trees; see
+  /// ConnectBatch::tree_bytes). 0 = unlimited. Exceeding it makes
   /// Connect return kResourceExhausted at the next sweep.
   size_t memory_budget_bytes = 0;
 };
@@ -394,8 +395,10 @@ class AGraph {
 /// Connect calls allocation-free in steady state); tree liveness stamps
 /// come from a process-global counter, so storage recycled across threads
 /// can never alias a live stamp. Distinct batches on distinct threads are
-/// fully independent. Memory is O(distinct terminals x num_nodes) per
-/// batch; callers bound it by batching one result page at a time.
+/// fully independent. A tree stores records in 256-node pages taken on
+/// first touch, so memory follows the nodes the trees visit: per tree,
+/// one page per 256-node block it reaches plus a directory of
+/// num_nodes/256 pointers (tree_bytes() reports the total).
 class ConnectBatch {
  public:
   explicit ConnectBatch(const AGraph& graph, ConnectOptions options = {});
@@ -411,6 +414,11 @@ class ConnectBatch {
   /// BFS shortest-path trees built so far (== distinct terminals seen
   /// across every row this batch connected).
   size_t trees_built() const;
+
+  /// Bytes of tree storage this batch holds: record pages (including any
+  /// a recycled tree kept from its previous use), page directories and
+  /// ring vectors. This is what memory_budget_bytes bounds.
+  size_t tree_bytes() const;
 
   /// The graph this batch borrows (cache-invalidation hook for callers
   /// that keep a batch across calls, e.g. QueryResult::connect_batch).

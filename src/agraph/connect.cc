@@ -23,11 +23,13 @@
 // answer: batch results are edge-set-identical to per-row Connect, which
 // simply runs a batch of one.
 //
-// Tree record arrays — the O(V) part — are epoch-stamped and recycled
-// through a byte-capped thread-local pool, and batch States (maps +
-// call-local buffers) are recycled the same way, so one-shot Connect calls
-// in steady state allocate only per-terminal map nodes and the returned
-// SubGraph.
+// Tree storage is proportional to what a tree visits, not to the graph:
+// records live in 256-entry pages taken on first touch from a thread-local
+// free list, behind a per-tree directory of num_nodes/256 page pointers.
+// Records are epoch-stamped, so a recycled page is never cleared; trees,
+// pages and batch States (maps + call-local buffers) are all recycled per
+// thread under one byte cap, so one-shot Connect calls in steady state
+// allocate only per-terminal map nodes and the returned SubGraph.
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -46,9 +48,10 @@ constexpr uint32_t kNone = ~0u;
 // Tree liveness stamps come from one process-global counter, NOT the
 // thread-local recycling pools: trees can be recycled across threads (a
 // batch cached on a QueryResult is destroyed on whichever thread flips its
-// last page), and a per-thread counter could re-issue a stamp still present
-// in a recycled record array. Relaxed order suffices — the handoff of the
-// arrays themselves provides the synchronization.
+// last page, and helper threads take pages from their own pools), and a
+// per-thread counter could re-issue a stamp still present in a recycled
+// record page. Relaxed order suffices — the handoff of the pages themselves
+// provides the synchronization.
 std::atomic<uint64_t> g_tree_epoch{0};
 
 // One selected tree edge, deduplicated on the undirected key (a, b, label)
@@ -66,18 +69,63 @@ struct TreeEdge {
 /// BFS shortest-path tree rooted at one terminal, expanded ring by ring.
 /// Ring r (nodes at exactly distance r from the root) is
 /// order[ring_offsets[r], ring_offsets[r+1]); parents point one ring
-/// rootward. Records are live only when their stamp matches the tree's
-/// epoch, so a recycled tree never clears its O(V) array.
+/// rootward. Records live in pages of kPageRecs nodes, taken on first
+/// touch, so a tree holds storage only for the pages its visited nodes fall
+/// in; the one per-graph part is the directory of num_nodes/kPageRecs
+/// pointers. A record is live only when its stamp matches the tree's epoch,
+/// so a recycled page is never cleared. Directory slots the tree has not
+/// written point at one shared all-stale page, so a read never branches on
+/// a missing page.
 struct ConnectBatch::TerminalTree {
-  struct Rec {
-    uint64_t stamp = 0;
-    uint32_t parent = 0;
-    uint32_t label = 0;          // interned label of the edge to parent
-    uint32_t dist = 0;           // hops from the root terminal
-    uint8_t parent_forward = 0;  // edge stored parent -> node
+  static constexpr uint32_t kPageShift = 8;
+  static constexpr uint32_t kPageRecs = 1u << kPageShift;
+  /// Where a reached node hangs in the tree.
+  struct Link {
+    uint32_t dist;            // hops from the root terminal
+    uint32_t parent;
+    uint32_t label;           // interned label of the edge to parent
+    uint32_t parent_forward;  // 1: edge stored parent -> node
+  };
+  /// The records of kPageRecs consecutive dense nodes. Stamps sit apart
+  /// from the links: the liveness check, by far the hottest read, touches
+  /// only the dense stamp array.
+  struct Page {
+    uint64_t touched;  // epoch of the last tree that wrote a record here
+    Page* next_free;   // free-list link while the page sits in a pool
+    uint64_t stamp[kPageRecs];
+    Link link[kPageRecs];
   };
 
-  std::vector<Rec> recs;
+  /// Every directory slot the tree has not written points here. Its stamps
+  /// are 0, which no tree epoch ever equals; never written.
+  static Page unreached;
+
+  static uint32_t Index(uint32_t x) { return x & (kPageRecs - 1); }
+  /// The page holding dense node `x`'s record.
+  const Page& PageOf(uint32_t x) const { return *pages[x >> kPageShift]; }
+  /// Records `x` as reached over an edge from `parent`, taking x's page
+  /// from this thread's pool on first touch; false if `x` already was.
+  bool Reach(uint32_t x, uint32_t parent, uint32_t label, uint32_t dist, bool forward) {
+    Page*& page = pages[x >> kPageShift];
+    const uint32_t i = Index(x);
+    if (page->stamp[i] == epoch) return false;
+    if (page == &unreached) page = AttachPage(x >> kPageShift);
+    page->touched = epoch;
+    page->stamp[i] = epoch;
+    page->link[i] = {dist, parent, label, forward};
+    return true;
+  }
+  Page* AttachPage(uint32_t slot);
+
+  TerminalTree() = default;
+  TerminalTree(const TerminalTree&) = delete;
+  TerminalTree& operator=(const TerminalTree&) = delete;
+  ~TerminalTree() {
+    for (uint32_t slot : held) delete pages[slot];
+  }
+
+  std::vector<Page*> pages;    // directory, indexed x >> kPageShift
+  std::vector<uint32_t> held;  // directory slots holding a page this tree owns
   uint64_t epoch = 0;
   uint32_t root = 0;
   size_t radius = 0;  // deepest expanded ring
@@ -87,14 +135,26 @@ struct ConnectBatch::TerminalTree {
 };
 
 struct ConnectBatch::State {
-  // Trees are recycled per thread so the dominant cost of a fresh tree —
-  // zeroing its O(V) record array — is paid once per thread, not per
-  // Connect call. The pool is capped in bytes (recs arrays scale with the
-  // graph), so a batch that grew hundreds of trees — or trees sized for a
-  // huge graph — frees the excess on destruction instead of stranding it.
+  // Trees and record pages are recycled per thread, so a steady stream of
+  // Connect calls reuses directories and pages instead of allocating and
+  // zeroing them. Released pages go to the free list of the thread that
+  // releases them. One byte cap covers pooled trees (with the pages they
+  // keep, see Recycle) and free pages, so a batch that grew hundreds of
+  // trees frees the excess on destruction instead of stranding it.
   struct Pool {
     static constexpr size_t kMaxFreeBytes = size_t{64} << 20;
+    Pool() = default;
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+    ~Pool() {
+      while (free_pages != nullptr) {
+        TerminalTree::Page* next = free_pages->next_free;
+        delete free_pages;
+        free_pages = next;
+      }
+    }
     std::vector<std::unique_ptr<TerminalTree>> free_trees;
+    TerminalTree::Page* free_pages = nullptr;  // singly linked via next_free
     size_t free_bytes = 0;
   };
   // thread_local, so no capability annotation: the pool is unreachable
@@ -106,9 +166,54 @@ struct ConnectBatch::State {
   }
 
   static size_t TreeBytes(const TerminalTree& t) {
-    return t.recs.capacity() * sizeof(TerminalTree::Rec) +
+    return t.held.size() * sizeof(TerminalTree::Page) +
+           t.pages.capacity() * sizeof(TerminalTree::Page*) +
+           t.held.capacity() * sizeof(uint32_t) +
            t.order.capacity() * sizeof(uint32_t) +
            t.ring_offsets.capacity() * sizeof(size_t);
+  }
+
+  static TerminalTree::Page* TakePage() {
+    Pool& pool = ThreadPool();
+    TerminalTree::Page* page = pool.free_pages;
+    if (page == nullptr) return new TerminalTree::Page();  // stamps start at 0
+    pool.free_pages = page->next_free;
+    pool.free_bytes -= sizeof(TerminalTree::Page);
+    return page;
+  }
+
+  /// Hands `tree` to this thread's pool while it fits under the cap;
+  /// whatever does not fit is freed. The tree keeps the pages its finished
+  /// lifetime wrote, at the same directory slots: the next tree built on it
+  /// often grows over the same nodes (one-shot Connects of overlapping rows)
+  /// and then finds their records at the same, still-cached addresses. Its
+  /// other pages, kept from an earlier lifetime, go to the page free list,
+  /// so a tree never holds more than what its current and previous
+  /// lifetimes visited.
+  static void Recycle(std::unique_ptr<TerminalTree> tree) {
+    Pool& pool = ThreadPool();
+    std::vector<uint32_t>& held = tree->held;
+    size_t kept = 0;
+    for (size_t i = 0; i < held.size(); ++i) {
+      TerminalTree::Page* page = tree->pages[held[i]];
+      if (page->touched == tree->epoch) {
+        held[kept++] = held[i];
+        continue;
+      }
+      tree->pages[held[i]] = &TerminalTree::unreached;
+      if (pool.free_bytes + sizeof(TerminalTree::Page) > Pool::kMaxFreeBytes) {
+        delete page;
+        continue;
+      }
+      pool.free_bytes += sizeof(TerminalTree::Page);
+      page->next_free = pool.free_pages;
+      pool.free_pages = page;
+    }
+    held.resize(kept);
+    const size_t bytes = TreeBytes(*tree);
+    if (pool.free_bytes + bytes > Pool::kMaxFreeBytes) return;
+    pool.free_bytes += bytes;
+    pool.free_trees.push_back(std::move(tree));
   }
 
   // States themselves (the maps and call-local buffers) are also recycled
@@ -181,17 +286,24 @@ ConnectBatch::ConnectBatch(const AGraph& graph, ConnectOptions options)
 }
 
 ConnectBatch::~ConnectBatch() {
-  State::Pool& pool = State::ThreadPool();
-  for (auto& [idx, tree] : state_->trees) {
-    const size_t bytes = State::TreeBytes(*tree);
-    if (pool.free_bytes + bytes > State::Pool::kMaxFreeBytes) continue;
-    pool.free_bytes += bytes;
-    pool.free_trees.push_back(std::move(tree));
-  }
+  for (auto& [idx, tree] : state_->trees) State::Recycle(std::move(tree));
   State::Return(std::move(state_));
 }
 
 size_t ConnectBatch::trees_built() const { return state_->trees.size(); }
+
+size_t ConnectBatch::tree_bytes() const {
+  size_t bytes = 0;
+  for (const auto& [idx, tree] : state_->trees) bytes += State::TreeBytes(*tree);
+  return bytes;
+}
+
+ConnectBatch::TerminalTree::Page ConnectBatch::TerminalTree::unreached;
+
+ConnectBatch::TerminalTree::Page* ConnectBatch::TerminalTree::AttachPage(uint32_t slot) {
+  held.push_back(slot);
+  return State::TakePage();
+}
 
 ConnectBatch::TerminalTree& ConnectBatch::TreeFor(uint32_t terminal) {
   auto [it, inserted] = state_->trees.try_emplace(terminal);
@@ -206,9 +318,9 @@ ConnectBatch::TerminalTree& ConnectBatch::TreeFor(uint32_t terminal) {
     it->second = std::make_unique<TerminalTree>();
   }
   TerminalTree& tree = *it->second;
-  if (tree.recs.size() < graph_->refs_.size()) {
-    tree.recs.resize(graph_->refs_.size());  // fresh records carry stamp 0
-  }
+  const size_t num_pages =
+      (graph_->refs_.size() + TerminalTree::kPageRecs - 1) >> TerminalTree::kPageShift;
+  if (tree.pages.size() < num_pages) tree.pages.resize(num_pages, &TerminalTree::unreached);
   tree.epoch = g_tree_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   tree.root = terminal;
   tree.radius = 0;
@@ -218,12 +330,7 @@ ConnectBatch::TerminalTree& ConnectBatch::TreeFor(uint32_t terminal) {
   tree.ring_offsets.clear();
   tree.ring_offsets.push_back(0);
   tree.ring_offsets.push_back(1);
-  TerminalTree::Rec& rec = tree.recs[terminal];
-  rec.stamp = tree.epoch;
-  rec.parent = terminal;
-  rec.label = 0;
-  rec.dist = 0;
-  rec.parent_forward = 0;
+  tree.Reach(terminal, terminal, 0, 0, false);
   return tree;
 }
 
@@ -235,25 +342,13 @@ void ConnectBatch::ExpandRing(TerminalTree* tree) {
     const uint32_t next_dist = static_cast<uint32_t>(tree->radius) + 1;
     for (const AGraph::Edge& e : graph_->out_[v]) {
       if (has_filter_ && !state_->allowed.Test(e.label)) continue;
-      TerminalTree::Rec& rec = tree->recs[e.other];
-      if (rec.stamp == tree->epoch) continue;
-      rec.stamp = tree->epoch;
-      rec.parent = v;
-      rec.label = e.label;
-      rec.dist = next_dist;
-      rec.parent_forward = 1;  // stored v -> other
-      tree->order.push_back(e.other);
+      // Stored v -> other.
+      if (tree->Reach(e.other, v, e.label, next_dist, true)) tree->order.push_back(e.other);
     }
     for (const AGraph::Edge& e : graph_->in_[v]) {
       if (has_filter_ && !state_->allowed.Test(e.label)) continue;
-      TerminalTree::Rec& rec = tree->recs[e.other];
-      if (rec.stamp == tree->epoch) continue;
-      rec.stamp = tree->epoch;
-      rec.parent = v;
-      rec.label = e.label;
-      rec.dist = next_dist;
-      rec.parent_forward = 0;  // stored other -> v
-      tree->order.push_back(e.other);
+      // Stored other -> v.
+      if (tree->Reach(e.other, v, e.label, next_dist, false)) tree->order.push_back(e.other);
     }
   }
   tree->ring_offsets.push_back(tree->order.size());
@@ -336,11 +431,12 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
     for (size_t i = ring_tree.ring_offsets[level];
          i < ring_tree.ring_offsets[level + 1]; ++i) {
       const uint32_t x = ring_tree.order[i];
-      const TerminalTree::Rec& rec = ball_tree.recs[x];
+      const TerminalTree::Page& page = ball_tree.PageOf(x);
+      const uint32_t j = TerminalTree::Index(x);
       // Records deeper than the synchronized level never contribute:
       // they re-register at their own level via the other scan.
-      if (rec.stamp != ball_tree.epoch || rec.dist > level) continue;
-      const size_t d = level + rec.dist;
+      if (page.stamp[j] != ball_tree.epoch || page.link[j].dist > level) continue;
+      const size_t d = level + page.link[j].dist;
       if (d > options_.max_hops) continue;
       if (d < best->dist || (d == best->dist && x < best->meet)) {
         best->dist = d;
@@ -362,9 +458,7 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
   auto check_governance = [&]() -> util::Status {
     GRAPHITTI_RETURN_NOT_OK(gate.CheckNow());
     if (options_.memory_budget_bytes != 0) {
-      size_t bytes = 0;
-      for (const auto& [idx, tree] : st.trees) bytes += State::TreeBytes(*tree);
-      if (bytes > options_.memory_budget_bytes) {
+      if (tree_bytes() > options_.memory_budget_bytes) {
         return util::Status::ResourceExhausted(
             "connect batch exceeded memory budget (" +
             std::to_string(options_.memory_budget_bytes) + " bytes)");
@@ -496,19 +590,23 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
 
     // Merge meet..absorbed-terminal and meet..attached-terminal along the
     // two trees' parent chains (both lead rootward, away from the meet).
-    auto merge_path = [&](uint32_t root) {
-      const TerminalTree& tree = *st.trees.find(root)->second;
+    auto merge_path = [&](uint32_t terminal) {
+      const TerminalTree& tree = *st.trees.find(terminal)->second;
       uint32_t cur = best_x;
       add_component_node(cur);
-      while (cur != root) {
-        const TerminalTree::Rec& rec = tree.recs[cur];
-        if (rec.parent_forward) {
-          add_tree_edge(rec.parent, cur, rec.label);
+      // Each parent sits one ring rootward, so the walk is the meet's depth
+      // long and ends at `terminal`.
+      const uint32_t depth = tree.PageOf(cur).link[TerminalTree::Index(cur)].dist;
+      for (uint32_t step = 0; step < depth; ++step) {
+        const TerminalTree::Link& link =
+            tree.PageOf(cur).link[TerminalTree::Index(cur)];
+        if (link.parent_forward) {
+          add_tree_edge(link.parent, cur, link.label);
         } else {
-          add_tree_edge(cur, rec.parent, rec.label);
+          add_tree_edge(cur, link.parent, link.label);
         }
-        add_component_node(rec.parent);
-        cur = rec.parent;
+        add_component_node(link.parent);
+        cur = link.parent;
       }
     };
     merge_path(best_from);

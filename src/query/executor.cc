@@ -1310,6 +1310,10 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
   }
   agraph::ConnectBatch& batch = *result->connect_batch;
   const size_t trees_before = batch.trees_built();
+  auto record_batch_stats = [&] {
+    result->stats.connect_trees_built += batch.trees_built() - trees_before;
+    result->stats.connect_tree_bytes = batch.tree_bytes();
+  };
   util::GovernanceGate gate(options_.deadline, options_.cancel);
   for (size_t i = begin; i < end; ++i) {
     ResultItem& item = result->items[i];
@@ -1320,7 +1324,7 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
     {
       Status gs = gate.CheckNow();
       if (!gs.ok()) {
-        result->stats.connect_trees_built += batch.trees_built() - trees_before;
+        record_batch_stats();
         return gs;
       }
     }
@@ -1329,7 +1333,7 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
                      sg.status().IsResourceExhausted())) {
       // Governance abort mid-connect: not a disconnected row — leave the
       // item unmaterialized for a retry and surface the status.
-      result->stats.connect_trees_built += batch.trees_built() - trees_before;
+      record_batch_stats();
       return sg.status();
     }
     item.subgraph_ready = true;
@@ -1341,7 +1345,7 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
     }
     ++result->stats.subgraphs_materialized;
   }
-  result->stats.connect_trees_built += batch.trees_built() - trees_before;
+  record_batch_stats();
   return Status::OK();
 }
 
@@ -1370,7 +1374,8 @@ Result<std::string> Executor::Explain(const Query& query) const {
     out += "subgraphs materialized: " +
            std::to_string(result.stats.subgraphs_materialized) + " (page " +
            std::to_string(result.page) + " only; connect trees built: " +
-           std::to_string(result.stats.connect_trees_built) + ")\n";
+           std::to_string(result.stats.connect_trees_built) + ", " +
+           std::to_string(result.stats.connect_tree_bytes) + " bytes held)\n";
   }
   out += "stopped: " + std::string(StopReasonName(result.stats.stop_reason)) + "\n";
   return out;

@@ -98,6 +98,10 @@ struct ExecutionStats {
   /// Per-terminal BFS trees built by batched connects across all
   /// MaterializePage calls.
   size_t connect_trees_built = 0;
+  /// Bytes of tree storage held by the result's ConnectBatch (see
+  /// agraph::ConnectBatch::tree_bytes) after the latest MaterializePage:
+  /// what a held GRAPH result costs in memory until it is released.
+  size_t connect_tree_bytes = 0;
   /// Why execution stopped (see StopReason). Anything but kCompleted means
   /// the query aborted early and any results are partial.
   StopReason stop_reason = StopReason::kCompleted;

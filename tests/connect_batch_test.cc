@@ -1,10 +1,17 @@
 // Differential tests for ConnectBatch: batched connect over shared
 // per-terminal BFS trees must be edge-set-identical to per-row
 // AGraph::Connect, regardless of how rows share terminals or in which
-// order they are connected.
+// order they are connected. Batch and per-row Connect share the tree
+// storage, so an oracle built only from the graph itself (edge lookups,
+// FindPath) also checks every row, and tree storage must stay
+// proportional to the nodes a tree visits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <numeric>
+#include <thread>
 
 #include "agraph/agraph.h"
 #include "util/random.h"
@@ -155,6 +162,208 @@ TEST(ConnectBatchTest, UnsatisfiableLabelFilterRejectsEveryRow) {
                   .status()
                   .IsNotFound());
 }
+
+// A path graph of `n` nodes, the shape where a tree's old dense record
+// array (24 bytes x num_nodes) dwarfs what a BFS from one node visits.
+AGraph PathGraph(uint64_t n) {
+  AGraph g;
+  for (uint64_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(g.AddNode(NodeRef::Content(i)).ok());
+  }
+  for (uint64_t i = 1; i < n; ++i) {
+    EXPECT_TRUE(g.AddEdge(NodeRef::Content(i - 1), NodeRef::Content(i), "next").ok());
+  }
+  return g;
+}
+
+// Tree storage is proportional to the nodes a tree visits, so connecting
+// two adjacent terminals of a 200k-node graph fits a 256 KiB budget (a tree
+// sized by the graph would be 24 B x 200k = 4.8 MB on its own). Runs on a
+// fresh thread: pooled trees of earlier tests on this thread may keep pages
+// from their last use, which would count against the budget.
+TEST(ConnectBatchTest, AdjacentTerminalsFitSmallBudgetOnLargeGraph) {
+  const AGraph g = PathGraph(200000);
+  ConnectOptions options;
+  options.memory_budget_bytes = 256 << 10;
+  std::thread([&] {
+    ConnectBatch batch(g, options);
+    auto sg = batch.Connect({NodeRef::Content(150000), NodeRef::Content(150001)});
+    ASSERT_TRUE(sg.ok()) << sg.status().ToString();
+    EXPECT_EQ(sg->nodes.size(), 2u);
+    EXPECT_EQ(sg->edges.size(), 1u);
+    // Far terminals still connect under an unlimited budget.
+    ConnectBatch unlimited(g);
+    auto far = unlimited.Connect({NodeRef::Content(10), NodeRef::Content(1010)});
+    ASSERT_TRUE(far.ok()) << far.status().ToString();
+    EXPECT_EQ(far->edges.size(), 1000u);
+  }).join();
+}
+
+// tree_bytes() is what the memory budget is checked against: it grows with
+// the trees a batch builds, and a batch over a large graph whose trees visit
+// a handful of nodes reports kilobytes, not megabytes.
+TEST(ConnectBatchTest, TreeBytesFollowVisitedNodes) {
+  const AGraph g = PathGraph(200000);
+  std::thread([&] {
+    ConnectBatch batch(g);
+    EXPECT_EQ(batch.tree_bytes(), 0u);
+    ASSERT_TRUE(batch.Connect({NodeRef::Content(7), NodeRef::Content(8)}).ok());
+    const size_t small = batch.tree_bytes();
+    EXPECT_GT(small, 0u);
+    EXPECT_LT(small, size_t{64} << 10);
+    ASSERT_TRUE(batch.Connect({NodeRef::Content(100), NodeRef::Content(5100)}).ok());
+    EXPECT_GT(batch.tree_bytes(), small);
+  }).join();
+}
+
+// Random graph over all four node kinds whose ids leave gaps, with enough
+// nodes to span many 256-record tree pages: a backbone (mostly local
+// parents, some far ones, so trees reach pages far apart) plus chords.
+struct OracleGraph {
+  AGraph graph;
+  std::vector<NodeRef> nodes;
+};
+
+OracleGraph RandomGappedGraph(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  OracleGraph og;
+  for (size_t i = 0; i < n; ++i) {
+    const auto kind = static_cast<NodeKind>(i % 4);
+    const uint64_t id = 5 * i + 1 + rng.Next64() % 4;  // gapped, distinct
+    og.nodes.push_back({kind, id});
+    EXPECT_TRUE(og.graph.AddNode(og.nodes.back()).ok());
+  }
+  const char* labels[] = {"annotates", "refers-to", "marks"};
+  for (size_t i = 1; i < n; ++i) {
+    const size_t parent = rng.Uniform(0, 9) == 0 ? rng.Next64() % i
+                                                 : i - 1 - rng.Next64() % std::min<size_t>(i, 8);
+    EXPECT_TRUE(og.graph.AddEdge(og.nodes[parent], og.nodes[i], labels[i % 3]).ok());
+  }
+  for (size_t c = 0; c < n / 4; ++c) {
+    const size_t a = rng.Next64() % n;
+    const size_t b = rng.Next64() % n;
+    if (a == b) continue;
+    EXPECT_TRUE(og.graph.AddEdge(og.nodes[a], og.nodes[b], labels[c % 3]).ok());
+  }
+  return og;
+}
+
+// Checks one row's subgraph against the graph alone: it spans its
+// terminals, every edge exists, it is a connected tree, and a 2-terminal
+// row's edge count is the shortest-path length.
+void ExpectOracle(const AGraph& g, const std::vector<NodeRef>& row, const SubGraph& sg,
+                  size_t r) {
+  for (const NodeRef& t : row) {
+    EXPECT_TRUE(sg.ContainsNode(t)) << "row " << r << " misses terminal " << t.ToString();
+  }
+  std::map<NodeRef, size_t> index;
+  for (const NodeRef& n : sg.nodes) index.emplace(n, index.size());
+  ASSERT_EQ(index.size(), sg.nodes.size()) << "duplicate node on row " << r;
+  std::vector<size_t> root(sg.nodes.size());
+  std::iota(root.begin(), root.end(), 0);
+  auto find = [&](size_t x) {
+    while (root[x] != x) x = root[x] = root[root[x]];
+    return x;
+  };
+  size_t merges = 0;
+  for (const EdgeRecord& e : sg.edges) {
+    EXPECT_TRUE(g.HasEdge(e.from, e.to, e.label))
+        << "row " << r << " invents edge " << e.from.ToString() << " -> " << e.to.ToString();
+    auto from = index.find(e.from);
+    auto to = index.find(e.to);
+    ASSERT_TRUE(from != index.end() && to != index.end())
+        << "row " << r << " has an edge off its node set";
+    const size_t a = find(from->second);
+    const size_t b = find(to->second);
+    EXPECT_NE(a, b) << "row " << r << " closes a cycle";
+    root[a] = b;
+    ++merges;
+  }
+  EXPECT_EQ(merges + 1, sg.nodes.size()) << "row " << r << " is not one connected tree";
+  std::vector<NodeRef> distinct = row;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  if (distinct.size() == 2) {
+    auto path = g.FindPath(distinct[0], distinct[1]);
+    ASSERT_TRUE(path.ok()) << path.status().ToString();
+    EXPECT_EQ(sg.edges.size(), path->hops()) << "row " << r << " is not a shortest path";
+  }
+}
+
+// Rows over a 24-terminal pool (terminals repeat, as in GRAPH collation);
+// every third row has exactly two distinct terminals.
+std::vector<std::vector<NodeRef>> OracleRows(Rng* rng, const OracleGraph& og,
+                                             size_t num_rows) {
+  std::vector<NodeRef> pool;
+  for (size_t i = 0; i < 24; ++i) pool.push_back(og.nodes[rng->Next64() % og.nodes.size()]);
+  std::vector<std::vector<NodeRef>> rows(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const size_t k = r % 3 == 0 ? 2 : 2 + static_cast<size_t>(rng->Uniform(0, 3));
+    while (rows[r].size() < k) {
+      NodeRef t = pool[rng->Next64() % pool.size()];
+      if (r % 3 == 0 && !rows[r].empty() && rows[r][0] == t) continue;
+      rows[r].push_back(t);
+    }
+  }
+  return rows;
+}
+
+class ConnectOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ConnectOracleTest, EveryRowMatchesTheGraphOracle) {
+  for (size_t n : {700u, 3000u, 9000u}) {
+    const OracleGraph og = RandomGappedGraph(GetParam() * 31 + n, n);
+    Rng rng(GetParam() ^ n);
+    const auto rows = OracleRows(&rng, og, 45);
+    ConnectBatch batch(og.graph);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      auto sg = batch.Connect(rows[r]);
+      ASSERT_TRUE(sg.ok()) << "row " << r << ": " << sg.status().ToString();
+      ExpectOracle(og.graph, rows[r], *sg, r);
+    }
+  }
+}
+
+// Tree pages are recycled through the free list of the thread that
+// destroys a batch. A batch used on one thread and destroyed on another
+// hands its pages (with stale records) to the destroying thread; a fresh
+// batch there, and a worker-parallel one, must answer exactly as before.
+TEST_P(ConnectOracleTest, PagesRecycledAcrossThreadsAnswerIdentically) {
+  const OracleGraph og = RandomGappedGraph(GetParam() + 7, 6000);
+  Rng rng(GetParam() * 3 + 1);
+  const auto rows = OracleRows(&rng, og, 40);
+
+  std::vector<SubGraph> first(rows.size());
+  auto batch = std::make_unique<ConnectBatch>(og.graph);
+  std::thread([&] {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      auto sg = batch->Connect(rows[r]);
+      ASSERT_TRUE(sg.ok()) << sg.status().ToString();
+      first[r] = std::move(sg).ValueUnsafe();
+    }
+  }).join();
+
+  auto replay = [&](const ConnectOptions& options) {
+    ConnectBatch fresh(og.graph, options);
+    // Reverse order, so trees grow in a different sequence than the first
+    // time and land on recycled pages.
+    for (size_t r = rows.size(); r-- > 0;) {
+      auto sg = fresh.Connect(rows[r]);
+      ASSERT_TRUE(sg.ok()) << sg.status().ToString();
+      ExpectIdentical(*sg, first[r], r);
+      ExpectOracle(og.graph, rows[r], *sg, r);
+    }
+  };
+  std::thread([&] {
+    batch.reset();  // its pages join this thread's free list
+    replay({});
+    ConnectOptions parallel;
+    parallel.workers = 3;
+    replay(parallel);
+  }).join();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConnectOracleTest, ::testing::Values(5, 41, 977));
 
 }  // namespace
 }  // namespace agraph

@@ -388,6 +388,14 @@ TEST_F(ExecutorTest, GraphCollationIsLazyPerPage) {
     EXPECT_FALSE(r->items[i].terminals.empty()) << "item " << i;
     if (i >= 2) EXPECT_TRUE(r->items[i].subgraph.nodes.empty()) << "item " << i;
   }
+  // The memory the result holds for its connect trees is visible in the
+  // stats and in Explain.
+  ASSERT_NE(r->connect_batch, nullptr);
+  EXPECT_GT(r->stats.connect_tree_bytes, 0u);
+  EXPECT_EQ(r->stats.connect_tree_bytes, r->connect_batch->tree_bytes());
+  auto plan = Executor(Context()).ExplainText(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find(" bytes held)"), std::string::npos) << *plan;
 }
 
 TEST_F(ExecutorTest, MaterializePageIsOrderIndependent) {
