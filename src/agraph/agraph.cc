@@ -324,16 +324,31 @@ void AGraph::AppendNeighbors(NodeRef ref, bool directed, std::string_view label,
     li = FindLabelId(label);
     if (li == kNoIndex) return;  // label never interned: no edge carries it
   }
-  util::TraversalScratch& s = Scratch();
-  s.set_a.Begin(refs_.size());
+  const EdgeList& outs = out_[*idx];
+  const EdgeList* ins = directed ? nullptr : &in_[*idx];
+  // Small edge lists dedup by scanning the dense indices this call took,
+  // kept on the stack: that is cheaper than the per-thread stamp array,
+  // whose entry for each neighbour is a likely cache miss on a large
+  // graph. Hubs use the stamps.
+  constexpr size_t kScanDedupMaxEdges = 16;
+  const bool scan = outs.size() + (ins ? ins->size() : 0) <= kScanDedupMaxEdges;
+  uint32_t taken[kScanDedupMaxEdges];
+  size_t num_taken = 0;
+  util::TraversalScratch* s = scan ? nullptr : &Scratch();
+  if (s != nullptr) s->set_a.Begin(refs_.size());
   auto take = [&](const Edge& e) {
-    if ((li == kNoIndex || e.label == li) && s.set_a.Insert(e.other)) {
-      out->push_back(refs_[e.other]);
+    if (li != kNoIndex && e.label != li) return;
+    if (s != nullptr) {
+      if (!s->set_a.Insert(e.other)) return;
+    } else {
+      if (std::find(taken, taken + num_taken, e.other) != taken + num_taken) return;
+      taken[num_taken++] = e.other;
     }
+    out->push_back(refs_[e.other]);
   };
-  for (const Edge& e : out_[*idx]) take(e);
-  if (!directed) {
-    for (const Edge& e : in_[*idx]) take(e);
+  for (const Edge& e : outs) take(e);
+  if (ins != nullptr) {
+    for (const Edge& e : *ins) take(e);
   }
 }
 

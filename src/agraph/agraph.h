@@ -208,7 +208,9 @@ class AGraph {
   /// Allocation-free variant of Neighbors: appends the distinct neighbours
   /// to *out (which the caller clears and reuses across calls) in
   /// unspecified order. Distinctness is only guaranteed among the appended
-  /// nodes, not against pre-existing elements of *out.
+  /// nodes, not against pre-existing elements of *out. Nodes with at most
+  /// 16 edges dedup by a scan over a stack array; hubs use the per-thread
+  /// visit stamps.
   void AppendNeighbors(NodeRef ref, bool directed, std::string_view label,
                        std::vector<NodeRef>* out) const;
 

@@ -384,17 +384,14 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
                                              sub.ToString());
       }
       if (sub.type() == substructure::SubType::kRegion) {
-        // The staged flush below must not be able to fail. ToCanonical's
-        // only failure modes are an unknown system and a rect/system dims
-        // mismatch, so checking those here (without transforming — the
-        // staging pass does the one real canonicalization per mark)
-        // guarantees it.
-        GRAPHITTI_ASSIGN_OR_RETURN(int cs_dims,
-                                   indexes_->coordinate_systems().Dims(sub.domain()));
-        if (sub.rect().dims != cs_dims) {
-          return util::Status::InvalidArgument(
-              "rect dims " + std::to_string(sub.rect().dims) + " != system dims " +
-              std::to_string(cs_dims));
+        // The staged flush below must not be able to fail. ToCanonical
+        // fails only on an unknown system or a rect/system dims mismatch,
+        // so checking those here (without transforming: the staging pass
+        // does the one real canonicalization per mark) guarantees it.
+        const auto& systems = indexes_->coordinate_systems();
+        const spatial::CoordinateSystem* cs = systems.Find(sub.domain());
+        if (cs == nullptr || cs->dims != sub.rect().dims) {
+          return systems.ToCanonical(sub.domain(), sub.rect()).status();
         }
       }
     }

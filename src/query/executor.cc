@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -27,9 +28,8 @@ using util::Result;
 using util::Status;
 
 /// Per-variable compiled info. Constrained variables stream their
-/// candidates into `streamed` (sorted + deduplicated); the hash set for
-/// join membership is built lazily, only when the variable is actually
-/// bound through a join edge. Unconstrained variables (no single-var
+/// candidates into `streamed` (sorted + deduplicated), which also answers
+/// join membership by binary search. Unconstrained variables (no single-var
 /// filters) skip enumeration entirely — membership is a kind check against
 /// the a-graph, the count comes from the owning store, and `streamed` is
 /// materialized lazily only for cartesian extension.
@@ -42,8 +42,6 @@ struct VarInfo {
   size_t candidate_count = 0;
   std::vector<NodeRef> streamed;  // sorted unique candidates (when enumerated)
   bool streamed_ready = false;
-  std::unordered_set<NodeRef, NodeRefHash> candidate_set;  // lazy, joins only
-  bool set_ready = false;
 };
 
 /// Pairwise constraint predicate between two bound variables.
@@ -139,12 +137,6 @@ NodeKind ToNodeKind(VarKind kind) {
   return NodeKind::kContent;  // unreachable: kinds are resolved before use
 }
 
-/// Borrowed referent pointers memoized per execution, so constraint
-/// evaluation and candidate filters pay one store lookup per distinct
-/// referent instead of one per binding row.
-// lint: allow-map(per-query cache; hashed, sized by candidate count)
-using ReferentCache = std::unordered_map<uint64_t, const annotation::Referent*>;
-
 /// Shared governance stop flag for one execution. Holds a StopReason
 /// (kCompleted == 0 == keep going); the first tripper wins, so a worker
 /// that hits the row limit while another hits the deadline records exactly
@@ -196,14 +188,12 @@ Status StopStatus(StopReason reason, const ExecutorOptions& options) {
 /// Streams every candidate for `info` — its typed subquery with all
 /// single-variable filters applied — into `emit`, without materializing the
 /// intermediate id vectors the row-based executor built per filter stage.
-/// Referent enumeration prefills *referent_cache as a side effect.
 /// *emitted_ordered is set when the stream is ascending and duplicate-free
 /// (store-order feeds), letting the consumer skip its sort+dedup pass.
 /// With workers > 1 and a pool, expensive per-candidate filters (XPath
 /// matching) fan out over id chunks; chunk outputs concatenate in order,
 /// so the emitted stream is identical to the serial one.
-Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
-                        ReferentCache* referent_cache, bool* emitted_ordered,
+Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info, bool* emitted_ordered,
                         util::ThreadPool* pool, size_t workers,
                         const util::Deadline& deadline,
                         const util::CancellationToken& cancel, StopFlag* stop,
@@ -331,34 +321,41 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
           windows.push_back(c);
         }
       }
-      // Canonicalized window geometry: region referents are stored in
-      // canonical coordinates, so CONTAINEDIN rect windows must be
-      // transformed before comparing.
-      auto rect_in_canonical = [&](const Clause* c) -> spatial::Rect {
-        auto mapped = ctx.indexes->coordinate_systems().ToCanonical(
-            domain.empty() ? c->text : domain, c->rect);
-        if (mapped.ok()) return mapped->second;
-        return c->rect;  // unregistered system: compare raw
+      // Rect windows compare in canonical coordinates: each window (in
+      // DOMAIN's system, raw without DOMAIN) maps once; a referent's local
+      // rect maps through its system, looked up once per run of referents
+      // sharing a domain. Unregistered systems and dims mismatches stay raw.
+      const spatial::CoordinateSystemRegistry& systems = ctx.indexes->coordinate_systems();
+      auto canonical = [](const spatial::CoordinateSystem* cs, const spatial::Rect& r) {
+        return cs != nullptr && cs->dims == r.dims ? cs->ToCanonical(r) : r;
       };
-      auto keep = [&](ReferentId id, const annotation::Referent& ref) {
+      std::vector<spatial::Rect> window_rects;  // parallel to windows
+      for (const Clause* c : windows) {
+        window_rects.push_back(
+            c->rect_window ? canonical(systems.Find(domain.empty() ? c->text : domain), c->rect)
+                           : c->rect);
+      }
+      const std::string* run_domain = nullptr;
+      const spatial::CoordinateSystem* run_system = nullptr;
+      auto keep = [&](const annotation::Referent& ref) {
         const substructure::Substructure& sub = ref.substructure;
         if (!domain.empty() && sub.domain() != domain) return false;
         if (!type_filter.empty() &&
             substructure::SubTypeToString(sub.type()) != type_filter) {
           return false;
         }
-        for (const Clause* w : windows) {
+        for (size_t i = 0; i < windows.size(); ++i) {
+          const Clause* w = windows[i];
           if (w->rect_window) {
             if (sub.type() != substructure::SubType::kRegion) return false;
-            spatial::Rect window_rect = rect_in_canonical(w);
-            // Stored rects are canonical when indexed; a referent's rect
-            // field holds the local coordinates, so canonicalize it too.
-            auto stored = ctx.indexes->coordinate_systems().ToCanonical(sub.domain(),
-                                                                        sub.rect());
-            spatial::Rect stored_rect = stored.ok() ? stored->second : sub.rect();
+            if (run_domain == nullptr || *run_domain != sub.domain()) {
+              run_domain = &sub.domain();
+              run_system = systems.Find(sub.domain());
+            }
+            spatial::Rect stored_rect = canonical(run_system, sub.rect());
             bool ok_w = w->kind == Clause::Kind::kOverlaps
-                            ? stored_rect.Overlaps(window_rect)
-                            : window_rect.Contains(stored_rect);
+                            ? stored_rect.Overlaps(window_rects[i])
+                            : window_rects[i].Contains(stored_rect);
             if (!ok_w) return false;
           } else {
             if (sub.type() != substructure::SubType::kInterval) return false;
@@ -368,13 +365,11 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
             if (!ok_w) return false;
           }
         }
-        (void)id;
         return true;
       };
       auto visit = [&](ReferentId id, const annotation::Referent& ref) {
         if (tripped()) return;
-        referent_cache->emplace(id, &ref);
-        if (keep(id, ref)) emit(NodeRef::Referent(id));
+        if (keep(ref)) emit(NodeRef::Referent(id));
       };
       if (!windows.empty() && !domain.empty()) {
         // Index-accelerated spatial subquery. Probing with overlap semantics
@@ -555,11 +550,10 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
 
   // ------------------------------------------------------------------
   // 2. Candidate enumeration per variable (the typed subqueries), streamed
-  //    into membership sets. Variables with no narrowing filter never
+  //    into sorted candidate vectors. Variables with no narrowing filter never
   //    enumerate: their domain is "every node of the kind", answered by a
   //    kind check during joins and a store count for ordering.
   // ------------------------------------------------------------------
-  ReferentCache referent_cache;
   for (auto& [name, info] : vars) {
     if (info.filters.empty()) {
       info.unconstrained = true;
@@ -583,7 +577,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
     bool ordered = false;
     GRAPHITTI_RETURN_NOT_OK(ForEachCandidate(
-        ctx_, info, &referent_cache, &ordered, pool, workers,
+        ctx_, info, &ordered, pool, workers,
         options_.deadline, options_.cancel, &stop,
         [&info = info](NodeRef n) { info.streamed.push_back(n); }));
     if (stop.load(std::memory_order_relaxed) != 0) {
@@ -595,23 +589,22 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       info.streamed.erase(std::unique(info.streamed.begin(), info.streamed.end()),
                           info.streamed.end());
     }
+    // Join membership binary-searches `streamed`, so it must be strictly
+    // ascending (a stream wrongly reported as ordered would silently drop
+    // join rows).
+    assert(std::adjacent_find(info.streamed.begin(), info.streamed.end(),
+                              [](NodeRef a, NodeRef b) { return !(a < b); }) ==
+           info.streamed.end());
     info.streamed_ready = true;
     info.candidate_count = info.streamed.size();
   }
 
-  // Membership test for hash semi-joins: candidate-set probe (built lazily
-  // at bind time), or a kind check when the variable is unconstrained
-  // (a-graph neighbours of the right kind are committed store entries by
-  // construction).
+  // Join membership: a binary search of the sorted candidate vector, or a
+  // kind check when the variable is unconstrained (a-graph neighbours of
+  // the right kind are committed store entries by construction).
   auto is_candidate = [&](const VarInfo& info, NodeRef n) {
     if (info.unconstrained) return n.kind == ToNodeKind(info.kind);
-    return info.candidate_set.count(n) > 0;
-  };
-  auto ensure_candidate_set = [&](VarInfo& info) {
-    if (info.unconstrained || info.set_ready) return;
-    info.set_ready = true;
-    info.candidate_set.reserve(info.streamed.size());
-    info.candidate_set.insert(info.streamed.begin(), info.streamed.end());
+    return std::binary_search(info.streamed.begin(), info.streamed.end(), n);
   };
 
   // Sorted candidate vector for variables bound without a join edge
@@ -691,23 +684,9 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
   }
 
-  // `overlay` receives misses so the shared enumeration-time cache
-  // (referent_cache) stays read-only during the join — join workers probe
-  // it concurrently and record their own misses per worker.
-  auto referent_of = [&](ReferentCache& overlay, NodeRef n) -> const annotation::Referent* {
-    auto it = referent_cache.find(n.id);
-    if (it != referent_cache.end()) return it->second;
-    auto hit = overlay.find(n.id);
-    if (hit != overlay.end()) return hit->second;
-    const annotation::Referent* ref = store.GetReferent(n.id);
-    overlay.emplace(n.id, ref);
-    return ref;
-  };
-
-  auto eval_pair = [&](ReferentCache& overlay, const PairPredicate& p, NodeRef a,
-                       NodeRef b) -> bool {
-    const annotation::Referent* ra = referent_of(overlay, a);
-    const annotation::Referent* rb = referent_of(overlay, b);
+  auto eval_pair = [&](const PairPredicate& p, NodeRef a, NodeRef b) -> bool {
+    const annotation::Referent* ra = store.GetReferent(a.id);
+    const annotation::Referent* rb = store.GetReferent(b.id);
     if (ra == nullptr || rb == nullptr) return false;
     const substructure::Substructure& sa = ra->substructure;
     const substructure::Substructure& sb = rb->substructure;
@@ -810,24 +789,30 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   };
 
   // Everything one join worker touches while extending rows. The serial
-  // path is just the one-worker special case of the same code. Caches are
-  // per worker: a distinct bound node may expand on two workers (duplicate
-  // work, never a race); steady-state per-row work allocates nothing.
+  // path is just the one-worker special case of the same code. Buffers are
+  // per worker and reused across rows and levels, so steady-state per-row
+  // work allocates nothing; a distinct bound node may expand on two
+  // workers (duplicate work, never a race).
   struct WorkerState {
     std::vector<NodeRef> row_buf;
     std::vector<NodeRef> domain_buf;
     std::vector<NodeRef> nbr_buf;
-    std::unordered_set<NodeRef, NodeRefHash> nbr_set;
-    // Single-edge join domains memoized per level: many rows bind the same
-    // node in the join column, and the filtered+sorted neighbour domain is
-    // a pure function of that node.
-    // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-    std::unordered_map<NodeRef, std::vector<NodeRef>, NodeRefHash> domain_cache;
+    // Single-edge join domains through a column that can repeat, memoized
+    // per bound node in an open-addressing table whose slots index the
+    // domains stored back to back.
+    struct MemoSlot {
+      NodeRef node;
+      size_t begin = 0;
+      size_t end = 0;
+      bool used = false;
+    };
+    std::vector<MemoSlot> memo_slots;
+    size_t memo_used = 0;
+    std::vector<NodeRef> memo_domains;
     // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
     std::unordered_map<ReachKey, std::unordered_set<NodeRef, NodeRefHash>, ReachKeyHash>
         reach_cache;
     std::vector<NodeRef> reach_buf;
-    ReferentCache referent_overlay;
     std::vector<std::pair<NodeRef, size_t>> out;  // (candidate, parent row)
   };
   std::vector<WorkerState> wstates(workers);
@@ -894,15 +879,19 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       bound_preds.push_back({&p, it->second, v_is_a});
     }
 
-    const std::vector<NodeRef>* cartesian = nullptr;
-    if (join_edges.empty()) {
-      cartesian = &sorted_candidates(info);
-    } else {
-      ensure_candidate_set(info);
-    }
+    const std::vector<NodeRef>* cartesian =
+        join_edges.empty() ? &sorted_candidates(info) : nullptr;
+    // A single-edge domain is a pure function of the bound node, so it is
+    // memoized when that node can repeat across rows. A one-column table
+    // holds the first variable's sorted unique candidates, which never
+    // repeat; once a second column exists, every column can.
+    const size_t memo_col =
+        join_edges.size() == 1 && var_column.size() > 1 ? join_edges.front().second : SIZE_MAX;
     for (WorkerState& w : wstates) {
-      w.domain_cache.clear();  // keyed on bound node; valid for one level only
       w.out.clear();
+      w.memo_slots.clear();  // keyed on bound node; valid for one level only
+      w.memo_used = 0;
+      w.memo_domains.clear();
     }
 
     size_t prev_rows = table.BeginColumn();
@@ -915,98 +904,128 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     // workers stop producing once the level is doomed to the row limit.
     std::atomic<size_t> emitted{0};
 
-    // Extends one parent row: computes the candidate domain, filters it
-    // through the bound pairwise predicates and CONNECTED reachability, and
-    // collects (candidate, parent) pairs into the worker's output. A pure
-    // function of the row given the frozen substrates, so rows partition
-    // freely across workers; outputs append back in worker-chunk order,
-    // making the table bit-identical to the serial build.
-    auto extend_row = [&](WorkerState& w, util::GovernanceGate& g, size_t row) {
-      table.ReadParentRow(row, &w.row_buf);
-
-      const std::vector<NodeRef>* domain = cartesian;
-      if (join_edges.size() == 1) {
-        // Single-edge join: the filtered+sorted neighbour domain depends
-        // only on the bound node, so memoize it per level.
-        const auto& [e, col] = join_edges.front();
-        NodeRef bound_node = w.row_buf[col];
-        auto [it, inserted] = w.domain_cache.try_emplace(bound_node);
-        if (inserted) {
-          w.nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &w.nbr_buf);
-          for (NodeRef n : w.nbr_buf) {
-            if (is_candidate(info, n)) it->second.push_back(n);
-          }
-          // Deterministic extension order.
-          std::sort(it->second.begin(), it->second.end());
-        }
-        domain = &it->second;
-      } else if (!join_edges.empty()) {
-        // Expand along the first edge (hash-filtered against v's candidate
-        // domain), then hash semi-join along the rest.
-        bool first = true;
-        for (const auto& [e, col] : join_edges) {
-          NodeRef bound_node = w.row_buf[col];
-          w.nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &w.nbr_buf);
-          if (first) {
-            w.domain_buf.clear();
-            for (NodeRef n : w.nbr_buf) {
-              if (is_candidate(info, n)) w.domain_buf.push_back(n);
-            }
-            first = false;
-          } else {
-            w.nbr_set.clear();
-            w.nbr_set.insert(w.nbr_buf.begin(), w.nbr_buf.end());
-            w.domain_buf.erase(std::remove_if(w.domain_buf.begin(), w.domain_buf.end(),
-                                              [&](NodeRef n) {
-                                                return w.nbr_set.count(n) == 0;
-                                              }),
-                               w.domain_buf.end());
-          }
-          if (w.domain_buf.empty()) break;
-        }
-        // Deterministic extension order.
-        std::sort(w.domain_buf.begin(), w.domain_buf.end());
-        domain = &w.domain_buf;
+    // Appends bound_node's neighbours along `e` that are candidates of v,
+    // sorted (deterministic extension order).
+    auto append_domain = [&](WorkerState& w, NodeRef bound_node, const EdgeInfo& e,
+                             std::vector<NodeRef>* domain) {
+      const size_t first = domain->size();
+      w.nbr_buf.clear();
+      graph.AppendNeighbors(bound_node, /*directed=*/false, e.label, &w.nbr_buf);
+      for (NodeRef n : w.nbr_buf) {
+        if (is_candidate(info, n)) domain->push_back(n);
       }
+      std::sort(domain->begin() + first, domain->end());
+    };
 
-      for (NodeRef cand : *domain) {
-        Status gs = g.Check();
-        if (!gs.ok()) {
-          TripStop(&stop, gs);
-          return;
+    // The memoized single-edge domain of `bound_node`, as a slot whose
+    // range indexes w.memo_domains. Linear probing; the table doubles
+    // before it gets more than half full.
+    using MemoSlot = WorkerState::MemoSlot;
+    auto probe = [](std::vector<MemoSlot>& slots, NodeRef n) -> MemoSlot& {
+      size_t i = NodeRefHash{}(n) & (slots.size() - 1);
+      while (slots[i].used && !(slots[i].node == n)) i = (i + 1) & (slots.size() - 1);
+      return slots[i];
+    };
+    auto memo_domain = [&](WorkerState& w, NodeRef bound_node) -> const MemoSlot& {
+      if (2 * (w.memo_used + 1) > w.memo_slots.size()) {
+        std::vector<MemoSlot> old = std::move(w.memo_slots);
+        w.memo_slots.assign(std::max<size_t>(64, 2 * old.size()), {});
+        for (const MemoSlot& slot : old) {
+          if (slot.used) probe(w.memo_slots, slot.node) = slot;
         }
-        // Pairwise constraints that become fully bound with v = cand.
-        bool ok = true;
-        for (const BoundPred& bp : bound_preds) {
-          NodeRef other_node = w.row_buf[bp.other_col];
-          NodeRef a = bp.v_is_a ? cand : other_node;
-          NodeRef b = bp.v_is_a ? other_node : cand;
-          if (!eval_pair(w.referent_overlay, *bp.pred, a, b)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
-        // CONNECTED joins: path existence in the a-graph, answered by the
-        // per-bound-node reachability cache.
-        for (const auto& [e, col] : path_edges) {
-          NodeRef other_node = w.row_buf[col];
-          size_t hops = e->clause->max_hops == SIZE_MAX ? options_.default_connected_hops
-                                                        : e->clause->max_hops;
-          if (reachable_from(w, other_node, hops).count(cand) == 0) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
+      }
+      MemoSlot& slot = probe(w.memo_slots, bound_node);
+      if (!slot.used) {
+        slot = {bound_node, w.memo_domains.size(), 0, true};
+        append_domain(w, bound_node, *join_edges.front().first, &w.memo_domains);
+        slot.end = w.memo_domains.size();
+        ++w.memo_used;
+      }
+      return slot;
+    };
 
-        w.out.push_back({cand, row});
-        if (emitted.fetch_add(1, std::memory_order_relaxed) >=
-            options_.max_intermediate_rows) {
-          TripStop(&stop, StopReason::kRowLimit);
-          return;
+    // Extends parent rows [lo, hi): computes each row's candidate domain,
+    // filters it through the bound pairwise predicates and CONNECTED
+    // reachability, and collects (candidate, parent) pairs into the
+    // worker's output. A pure function of the rows given the frozen
+    // substrates, so rows partition freely across workers; outputs append
+    // back in worker-chunk order, making the table bit-identical to the
+    // serial build.
+    auto extend_rows = [&](WorkerState& w, util::GovernanceGate& g, size_t lo, size_t hi) {
+      for (size_t row = lo; row < hi; ++row) {
+        if (stop.load(std::memory_order_relaxed) != 0) return;
+        table.ReadParentRow(row, &w.row_buf);
+
+        const NodeRef* first = nullptr;
+        const NodeRef* last = nullptr;
+        if (cartesian != nullptr) {
+          first = cartesian->data();
+          last = first + cartesian->size();
+        } else if (memo_col != SIZE_MAX) {
+          const MemoSlot& slot = memo_domain(w, w.row_buf[memo_col]);
+          first = w.memo_domains.data() + slot.begin;
+          last = w.memo_domains.data() + slot.end;
+        } else {
+          // Expand along the first edge, then semi-join along the rest by
+          // binary search of each edge's sorted neighbours.
+          w.domain_buf.clear();
+          append_domain(w, w.row_buf[join_edges.front().second],
+                        *join_edges.front().first, &w.domain_buf);
+          for (size_t i = 1; i < join_edges.size() && !w.domain_buf.empty(); ++i) {
+            const auto& [e, col] = join_edges[i];
+            w.nbr_buf.clear();
+            graph.AppendNeighbors(w.row_buf[col], /*directed=*/false, e->label, &w.nbr_buf);
+            std::sort(w.nbr_buf.begin(), w.nbr_buf.end());
+            w.domain_buf.erase(
+                std::remove_if(w.domain_buf.begin(), w.domain_buf.end(),
+                               [&](NodeRef n) {
+                                 return !std::binary_search(w.nbr_buf.begin(),
+                                                            w.nbr_buf.end(), n);
+                               }),
+                w.domain_buf.end());
+          }
+          first = w.domain_buf.data();
+          last = first + w.domain_buf.size();
+        }
+
+        for (const NodeRef* it = first; it != last; ++it) {
+          const NodeRef cand = *it;
+          Status gs = g.Check();
+          if (!gs.ok()) {
+            TripStop(&stop, gs);
+            return;
+          }
+          // Pairwise constraints that become fully bound with v = cand.
+          bool ok = true;
+          for (const BoundPred& bp : bound_preds) {
+            NodeRef other_node = w.row_buf[bp.other_col];
+            NodeRef a = bp.v_is_a ? cand : other_node;
+            NodeRef b = bp.v_is_a ? other_node : cand;
+            if (!eval_pair(*bp.pred, a, b)) {
+              ok = false;
+              break;
+            }
+          }
+          if (!ok) continue;
+          // CONNECTED joins: path existence in the a-graph, answered by the
+          // per-bound-node reachability cache.
+          for (const auto& [e, col] : path_edges) {
+            NodeRef other_node = w.row_buf[col];
+            size_t hops = e->clause->max_hops == SIZE_MAX ? options_.default_connected_hops
+                                                          : e->clause->max_hops;
+            if (reachable_from(w, other_node, hops).count(cand) == 0) {
+              ok = false;
+              break;
+            }
+          }
+          if (!ok) continue;
+
+          w.out.push_back({cand, row});
+          if (emitted.fetch_add(1, std::memory_order_relaxed) >=
+              options_.max_intermediate_rows) {
+            TripStop(&stop, StopReason::kRowLimit);
+            return;
+          }
         }
       }
     };
@@ -1015,19 +1034,11 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       // One contiguous row chunk per worker; each ParallelFor index runs
       // exactly once, so worker state is never shared between live bodies.
       pool->ParallelFor(workers, workers - 1, [&](size_t ci) {
-        WorkerState& w = wstates[ci];
-        const size_t lo = prev_rows * ci / workers;
-        const size_t hi = prev_rows * (ci + 1) / workers;
-        for (size_t row = lo; row < hi; ++row) {
-          if (stop.load(std::memory_order_relaxed) != 0) return;
-          extend_row(w, wgates[ci], row);
-        }
+        extend_rows(wstates[ci], wgates[ci], prev_rows * ci / workers,
+                    prev_rows * (ci + 1) / workers);
       }, &stop);
     } else {
-      for (size_t row = 0; row < prev_rows; ++row) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        extend_row(wstates.front(), wgates.front(), row);
-      }
+      extend_rows(wstates.front(), wgates.front(), 0, prev_rows);
     }
     // Append surviving pairs in deterministic worker-chunk order, enforcing
     // the row limit and the byte budget as the column grows. A governance

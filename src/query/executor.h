@@ -17,9 +17,10 @@
 // guarantee themselves.
 //
 // Read-side caches and where they live (the const-safety audit):
-//   - per-execution state (CONNECTED reachability cache, join-domain
-//     memos, referent-pointer memo, binding table) is local to each
-//     Execute call — never shared across threads;
+//   - per-execution state (sorted candidate vectors, join-domain memos,
+//     CONNECTED reachability cache, binding table) is local to each
+//     Execute call; parallel join workers keep their own memos and only
+//     read the candidate vectors;
 //   - per-thread state (a-graph TraversalScratch, ConnectBatch tree/state
 //     pools) is thread_local inside src/agraph — concurrent readers never
 //     share it;

@@ -75,32 +75,32 @@ std::vector<CoordinateSystem> CoordinateSystemRegistry::All() const {
   return out;
 }
 
-util::Result<CoordinateSystem> CoordinateSystemRegistry::Get(std::string_view name) const {
+const CoordinateSystem* CoordinateSystemRegistry::Find(std::string_view name) const {
   auto it = systems_.find(name);
-  if (it == systems_.end()) {
-    return util::Status::NotFound("coordinate system '" + std::string(name) +
-                                  "' not registered");
-  }
-  return it->second;
+  return it == systems_.end() ? nullptr : &it->second;
 }
 
-util::Result<int> CoordinateSystemRegistry::Dims(std::string_view name) const {
-  auto it = systems_.find(name);
-  if (it == systems_.end()) {
+util::Result<CoordinateSystem> CoordinateSystemRegistry::Get(std::string_view name) const {
+  const CoordinateSystem* cs = Find(name);
+  if (cs == nullptr) {
     return util::Status::NotFound("coordinate system '" + std::string(name) +
                                   "' not registered");
   }
-  return it->second.dims;
+  return *cs;
 }
 
 util::Result<std::pair<std::string, Rect>> CoordinateSystemRegistry::ToCanonical(
     std::string_view system, const Rect& local) const {
-  GRAPHITTI_ASSIGN_OR_RETURN(CoordinateSystem cs, Get(system));
-  if (local.dims != cs.dims) {
-    return util::Status::InvalidArgument("rect dims " + std::to_string(local.dims) +
-                                         " != system dims " + std::to_string(cs.dims));
+  const CoordinateSystem* cs = Find(system);
+  if (cs == nullptr) {
+    return util::Status::NotFound("coordinate system '" + std::string(system) +
+                                  "' not registered");
   }
-  return std::make_pair(cs.canonical, cs.ToCanonical(local));
+  if (local.dims != cs->dims) {
+    return util::Status::InvalidArgument("rect dims " + std::to_string(local.dims) +
+                                         " != system dims " + std::to_string(cs->dims));
+  }
+  return std::make_pair(cs->canonical, cs->ToCanonical(local));
 }
 
 }  // namespace spatial

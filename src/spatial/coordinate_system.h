@@ -49,12 +49,13 @@ class CoordinateSystemRegistry {
   /// Lookup; NotFound if unregistered.
   util::Result<CoordinateSystem> Get(std::string_view name) const;
 
-  /// Dims of a registered system, without copying the full record — lets
-  /// validation passes check rect arity cheaply before transforming.
-  util::Result<int> Dims(std::string_view name) const;
+  /// Borrowed lookup without copying the record; nullptr if unregistered.
+  /// The pointer lives as long as the registry (systems are never removed).
+  const CoordinateSystem* Find(std::string_view name) const;
 
   /// Transforms `local` from `system` into that system's canonical frame and
-  /// reports the canonical system name.
+  /// reports the canonical system name. Fails only on an unregistered system
+  /// or a rect/system dims mismatch.
   util::Result<std::pair<std::string, Rect>> ToCanonical(std::string_view system,
                                                          const Rect& local) const;
 

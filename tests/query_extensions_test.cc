@@ -109,6 +109,52 @@ TEST_F(QueryExtensionsTest, ContainedInRectCanonicalizesAcrossSystems) {
   EXPECT_EQ(r2->items.size(), 1u);
 }
 
+TEST_F(QueryExtensionsTest, RectWindowsWithoutDomainCompareCanonicalAcrossSystems) {
+  // Without DOMAIN a rect window is in canonical coordinates, and each
+  // region compares in canonical coordinates of its own system. Referents
+  // stream in id order, so the systems interleave: atlas, atlas2x,
+  // atlasoff, atlas.
+  ASSERT_TRUE(g_.RegisterDerivedCoordinateSystem("atlasoff", "atlas", {1, 1, 1},
+                                                 {100, 100, 0})
+                  .ok());
+  AnnotationBuilder region3;
+  region3.Title("r3").Creator("carol").Body("offset region");
+  // Local [0,0]-[10,10] -> canonical [100,100]-[110,110].
+  region3.MarkRegion("atlasoff", spatial::Rect::Make2D(0, 0, 10, 10));
+  ASSERT_TRUE(g_.Commit(region3).ok());
+  AnnotationBuilder region4;
+  region4.Title("r4").Creator("carol").Body("canonical region");
+  region4.MarkRegion("atlas", spatial::Rect::Make2D(100, 100, 105, 105));
+  ASSERT_TRUE(g_.Commit(region4).ok());
+
+  auto domains = [&](const char* window) {
+    auto r = g_.Query(std::string("FIND REFERENTS WHERE { ?s TYPE region ; ?s ") + window +
+                      " }");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const auto& item : r->items) {
+      const spatial::Rect& rect = item.substructure.rect();
+      out.push_back(item.substructure.domain() + "@" + std::to_string(int(rect.lo[0])));
+    }
+    return out;
+  };
+  using Names = std::vector<std::string>;
+  // Canonical [60,120]^2 (atlas2x) and [100,110]^2 (atlasoff) lie inside;
+  // their local rects ([30,60]^2, [0,10]^2) would not.
+  EXPECT_EQ(domains("CONTAINEDIN RECT [50, 50, 130, 130]"),
+            (Names{"atlas2x@30", "atlasoff@0", "atlas@100"}));
+  EXPECT_EQ(domains("CONTAINEDIN RECT [95, 95, 125, 125]"), (Names{"atlasoff@0", "atlas@100"}));
+  // The local atlas2x and atlasoff rects overlap [0,0]-[35,35]; in
+  // canonical coordinates only the atlas region [10,20]^2 does.
+  EXPECT_EQ(domains("OVERLAPS RECT [0, 0, 35, 35]"), (Names{"atlas@10"}));
+  EXPECT_EQ(domains("OVERLAPS RECT [0, 0, 200, 200]"),
+            (Names{"atlas@10", "atlas2x@30", "atlasoff@0", "atlas@100"}));
+  // Two windows: both canonical, both must hold.
+  EXPECT_EQ(domains("OVERLAPS RECT [100, 100, 200, 200] ; ?s CONTAINEDIN RECT [0, 0, 108, 108]"),
+            (Names{"atlas@100"}));
+}
+
 TEST_F(QueryExtensionsTest, CreatorSugar) {
   auto alice = g_.Query("FIND CONTENTS WHERE { ?a CREATOR \"alice\" }");
   ASSERT_TRUE(alice.ok()) << alice.status().ToString();

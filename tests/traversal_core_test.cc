@@ -245,6 +245,51 @@ TEST(TraversalCoreTest, AppendNeighborsMatchesNeighbors) {
   }
 }
 
+TEST(TraversalCoreTest, AppendNeighborsKeepsEdgeOrderOnSmallNodesAndHubs) {
+  // Node 0 is a hub (parallel edges, both directions, two labels); node 1
+  // has a handful of edges with the same kinds of repeats. Small nodes
+  // dedup by scanning, hubs by visit stamps: both must append the first
+  // occurrence of each neighbour in edge order (out-edges, then in-edges).
+  AGraph g;
+  for (uint64_t i = 0; i < 40; ++i) ASSERT_TRUE(g.AddNode(NodeRef::Content(i)).ok());
+  auto edge = [&](uint64_t from, uint64_t to, const char* label) {
+    ASSERT_TRUE(g.AddEdge(NodeRef::Content(from), NodeRef::Content(to), label).ok());
+  };
+  for (uint64_t i = 2; i < 40; ++i) edge(0, 41 - i, i % 3 == 0 ? "b" : "a");
+  for (uint64_t i = 5; i < 12; ++i) edge(i, 0, "a");  // also out-neighbours
+  edge(0, 7, "a");                                     // parallel edge
+  for (uint64_t to : {9u, 3u, 9u, 5u}) edge(1, to, "a");
+  edge(1, 3, "b");
+  edge(3, 1, "a");
+  edge(8, 1, "a");
+
+  for (uint64_t node : {0u, 1u}) {
+    for (bool directed : {false, true}) {
+      for (const char* label : {"", "a"}) {
+        SCOPED_TRACE("node " + std::to_string(node) + " directed " +
+                     std::to_string(directed) + " label '" + label + "'");
+        std::vector<NodeRef> expected;
+        auto take = [&](NodeRef n, const std::string& l) {
+          if ((label[0] == '\0' || l == label) &&
+              std::find(expected.begin(), expected.end(), n) == expected.end()) {
+            expected.push_back(n);
+          }
+        };
+        for (const EdgeRecord& e : g.OutEdges(NodeRef::Content(node))) take(e.to, e.label);
+        if (!directed) {
+          for (const EdgeRecord& e : g.InEdges(NodeRef::Content(node))) take(e.from, e.label);
+        }
+        // A neighbour already in the buffer is appended again: distinctness
+        // covers the appended nodes only.
+        std::vector<NodeRef> buf{expected.front()};
+        g.AppendNeighbors(NodeRef::Content(node), directed, label, &buf);
+        expected.insert(expected.begin(), expected.front());
+        EXPECT_EQ(buf, expected);
+      }
+    }
+  }
+}
+
 TEST(NodeRefHashTest, MixedKindsAndDenseIdsDoNotCollide) {
   // splitmix64 over the injective (id << 2) | kind encoding is a bijection:
   // dense ids across all four kinds must hash to distinct values (the seed
